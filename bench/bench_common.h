@@ -11,6 +11,7 @@
 
 #include "constraint/conjunction.h"
 #include "constraint/dnf.h"
+#include "constraint/solver_cache.h"
 #include "obs/metrics.h"
 
 namespace lyric {
@@ -43,6 +44,18 @@ class CounterDeltas {
   benchmark::State& state_;
   obs::MetricsSnapshot before_;
 };
+
+/// Solver benches register a cold and a warm series (BENCHMARK_CAPTURE
+/// with `cold` = true / false). Called first in the loop body, this
+/// empties SolverCache::Global() outside the timed region on the cold
+/// series, so every cold iteration times a solve rather than a cache hit;
+/// the warm series times the memoized answer.
+inline void ClearCacheIfCold(benchmark::State& state, bool cold) {
+  if (!cold) return;
+  state.PauseTiming();
+  SolverCache::Global().Clear();
+  state.ResumeTiming();
+}
 
 /// Deterministic variable ids bvar0..bvar{n-1}.
 inline std::vector<VarId> BenchVars(size_t n) {

@@ -6,7 +6,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 
 #include "bench_common.h"
 #include "constraint/solver_cache.h"
@@ -142,55 +141,6 @@ BENCHMARK(BM_PaperQueryThreadsGoverned)
     ->Arg(1)
     ->Arg(4)
     ->UseRealTime();
-
-// The flight-recorder acceptance check: Histogram::Record (bucket + count
-// + sum adds, max CAS) must stay within 2x of the Timer::Record it
-// replaced on the hot paths. Both are measured back-to-back over the same
-// value stream and the ratio lands in the counters, so the budget is
-// checked from this bench's own output rather than a separate harness.
-void BM_HistogramVsTimerRecord(benchmark::State& state) {
-  obs::Timer& timer =
-      obs::Registry::Global().GetTimer("bench.record_timer");
-  obs::Histogram& hist =
-      obs::Registry::Global().GetHistogram("bench.record_hist");
-  constexpr int kBatch = 4096;
-  // A latency-shaped value stream (spread across buckets so the
-  // histogram's bucket-index path sees realistic inputs).
-  uint64_t values[kBatch];
-  uint64_t v = 1;
-  for (int i = 0; i < kBatch; ++i) {
-    v = v * 2862933555777941757ull + 3037000493ull;  // splitmix-ish LCG
-    values[i] = (v >> 24) % 10'000'000;              // 0..10ms in ns
-  }
-
-  uint64_t timer_ns = 0, hist_ns = 0;
-  for (auto _ : state) {
-    auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kBatch; ++i) timer.Record(values[i]);
-    auto t1 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kBatch; ++i) hist.Record(values[i]);
-    auto t2 = std::chrono::steady_clock::now();
-    timer_ns += static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count());
-    hist_ns += static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t2 - t1)
-            .count());
-    benchmark::ClobberMemory();
-  }
-  const double records =
-      static_cast<double>(state.iterations()) * kBatch;
-  state.counters["timer_ns_per_record"] =
-      static_cast<double>(timer_ns) / records;
-  state.counters["histogram_ns_per_record"] =
-      static_cast<double>(hist_ns) / records;
-  state.counters["ratio"] = timer_ns == 0
-                                ? 0.0
-                                : static_cast<double>(hist_ns) /
-                                      static_cast<double>(timer_ns);
-  state.SetItemsProcessed(static_cast<int64_t>(records) * 2);
-}
-BENCHMARK(BM_HistogramVsTimerRecord);
 
 }  // namespace
 }  // namespace lyric

@@ -1,7 +1,7 @@
 #include "constraint/simplex.h"
 
 #include <algorithm>
-#include <cassert>
+#include <optional>
 
 #include "constraint/solver_cache.h"
 #include "exec/governor.h"
@@ -30,415 +30,365 @@ std::optional<LpStatus> LpStatusFromString(std::string_view s) {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Core tableau simplex (maximization, all variables >= 0, Bland's rule).
-// ---------------------------------------------------------------------------
+// A δ-rational c + k·δ, where δ is a positive infinitesimal: the strict
+// bound x < b is the non-strict bound x <= b - δ, so strict and non-strict
+// atoms are decided by one simplex. Ordered lexicographically.
+struct DeltaRational {
+  Rational c;
+  Rational k;
 
-struct CoreSolution {
-  LpStatus status = LpStatus::kInfeasible;
-  Rational value;
-  std::vector<Rational> point;  // one value per column
+  DeltaRational operator+(const DeltaRational& o) const {
+    return {c + o.c, k + o.k};
+  }
+  DeltaRational operator-(const DeltaRational& o) const {
+    return {c - o.c, k - o.k};
+  }
+  DeltaRational operator*(const Rational& r) const { return {c * r, k * r}; }
+  int Compare(const DeltaRational& o) const {
+    int cmp = c.Compare(o.c);
+    return cmp != 0 ? cmp : k.Compare(o.k);
+  }
+  bool operator<(const DeltaRational& o) const { return Compare(o) < 0; }
+  bool operator>(const DeltaRational& o) const { return Compare(o) > 0; }
 };
 
-// A dense two-phase primal simplex over exact rationals. Columns are
-// non-negative decision variables; rows are equality constraints (callers
-// add slack columns for inequalities).
-class CoreLp {
+using Bound = std::optional<DeltaRational>;
+
+constexpr size_t kNone = static_cast<size_t>(-1);
+
+obs::Histogram& SolveHistogram() {
+  static obs::Histogram& hist =
+      obs::Registry::Global().GetHistogram("simplex.solve");
+  return hist;
+}
+
+// The bounded-variable simplex of Dutertre & de Moura, "A Fast
+// Linear-Arithmetic Solver for DPLL(T)" (CAV 2006), on a dense tableau of
+// exact rationals. The conjunction's variables are columns, unbounded and
+// never split. Each distinct multi-variable atom row gets one slack
+// variable, bounded by every atom on that row; a one-variable atom bounds
+// its variable directly. Each objective gets an unbounded slack row. A row
+// keeps its basic variable as a combination of the non-basic ones.
+//
+// One tableau is one LP: Check() finds a point of the atoms (disequalities
+// aside); Close() then drops δ, and Optimize() runs the primal bounded
+// simplex over the closure from that feasible basis. Both pick variables
+// by Bland's rule (smallest index first), so neither cycles.
+class Tableau {
  public:
-  explicit CoreLp(size_t num_cols) : num_cols_(num_cols) {}
-
-  // Adds the row `coeffs . y = rhs`.
-  void AddRow(std::vector<Rational> coeffs, Rational rhs) {
-    assert(coeffs.size() == num_cols_);
-    rows_.push_back(std::move(coeffs));
-    rhs_.push_back(std::move(rhs));
-  }
-
-  // Maximizes `obj . y` (+ nothing; callers track constants).
-  CoreSolution Maximize(const std::vector<Rational>& obj) {
-    assert(obj.size() == num_cols_);
+  // Builds the tableau of the =, <= and < atoms of `c`; `objectives` get
+  // one row each, addressed by their position.
+  Tableau(const Conjunction& c, const std::vector<LinearExpr>& objectives)
+      : timer_(SolveHistogram()) {
     LYRIC_OBS_COUNT("simplex.lp_solves");
-    static obs::Histogram& solve_hist =
-        obs::Registry::Global().GetHistogram("simplex.solve");
-    obs::ScopedHistogramTimer scoped_timer(solve_hist);
-    // The tableau (rows + artificials) is the dominant transient
-    // allocation; charge it against the governor's memory budget.
-    exec::AccountKernelMemory(
-        rows_.size() * (num_cols_ + rows_.size()) * sizeof(Rational),
-        "simplex.tableau");
-    // Normalize rhs >= 0.
-    for (size_t i = 0; i < rows_.size(); ++i) {
-      if (rhs_[i].IsNegative()) {
-        for (Rational& a : rows_[i]) a = -a;
-        rhs_[i] = -rhs_[i];
+    VarSet var_set = c.FreeVars();
+    for (const LinearExpr& obj : objectives) obj.CollectVars(&var_set);
+    vars_.assign(var_set.begin(), var_set.end());
+    lower_.resize(vars_.size());
+    upper_.resize(vars_.size());
+    std::vector<LinearExpr> row_exprs;
+    for (const LinearConstraint& atom : c.atoms()) {
+      if (atom.IsDisequality()) continue;
+      const LinearExpr& lhs = atom.lhs();
+      if (lhs.IsConstant()) {
+        if (atom.ConstantTruth() == Truth::kFalse) infeasible_ = true;
+        continue;
       }
-    }
-    // Phase 1: add one artificial per row, minimize their sum.
-    size_t m = rows_.size();
-    size_t total_cols = num_cols_ + m;
-    for (size_t i = 0; i < m; ++i) {
-      for (size_t r = 0; r < m; ++r) {
-        rows_[r].push_back(Rational(r == i ? 1 : 0));
-      }
-    }
-    basis_.resize(m);
-    for (size_t i = 0; i < m; ++i) basis_[i] = num_cols_ + i;
-
-    // Phase-1 objective: maximize -(sum of artificials). Reduced-cost row.
-    std::vector<Rational> z(total_cols);
-    Rational zval;
-    for (size_t j = num_cols_; j < total_cols; ++j) z[j] = Rational(-1);
-    // Artificials are basic with cost -1: fold their rows into z.
-    for (size_t i = 0; i < m; ++i) {
-      for (size_t j = 0; j < total_cols; ++j) z[j] += rows_[i][j];
-      zval -= rhs_[i];
-    }
-    static obs::Counter& phase1_iters =
-        obs::Registry::Global().GetCounter("simplex.phase1_iterations");
-    LpStatus st = RunSimplex(&z, &zval, total_cols, &phase1_iters);
-    (void)st;  // Phase 1 cannot be unbounded (objective <= 0).
-    if (!zval.IsZero()) {
-      LYRIC_OBS_COUNT("simplex.lp_infeasible");
-      return {LpStatus::kInfeasible, Rational(), {}};
-    }
-    // Drive any artificial out of the basis.
-    for (size_t i = 0; i < m; ++i) {
-      if (basis_[i] < num_cols_) continue;
-      size_t pivot_col = num_cols_;
-      bool found = false;
-      for (size_t j = 0; j < num_cols_; ++j) {
-        if (!rows_[i][j].IsZero()) {
-          pivot_col = j;
-          found = true;
-          break;
-        }
-      }
-      if (found) {
-        Pivot(i, pivot_col, &z, &zval, total_cols);
-      }
-      // else: the row is 0 = 0 over structural columns; harmless.
-    }
-    // Phase 2: real objective, restricted to structural columns (keep the
-    // artificial columns but forbid them from entering by giving reduced
-    // cost handling below a hard cutoff at num_cols_).
-    std::vector<Rational> z2(total_cols);
-    Rational z2val;
-    for (size_t j = 0; j < num_cols_; ++j) z2[j] = obj[j];
-    for (size_t i = 0; i < m; ++i) {
-      size_t b = basis_[i];
-      if (b < num_cols_ && !obj[b].IsZero()) {
-        Rational c = obj[b];
-        for (size_t j = 0; j < total_cols; ++j) z2[j] -= c * rows_[i][j];
-        z2val += c * rhs_[i];
-      }
-    }
-    static obs::Counter& phase2_iters =
-        obs::Registry::Global().GetCounter("simplex.phase2_iterations");
-    LpStatus st2 = RunSimplex(&z2, &z2val, num_cols_, &phase2_iters);
-    if (st2 == LpStatus::kUnbounded) {
-      LYRIC_OBS_COUNT("simplex.lp_unbounded");
-      return {LpStatus::kUnbounded, Rational(), {}};
-    }
-    CoreSolution out;
-    out.status = LpStatus::kOptimal;
-    out.value = z2val;
-    out.point.assign(num_cols_, Rational());
-    for (size_t i = 0; i < m; ++i) {
-      if (basis_[i] < num_cols_) out.point[basis_[i]] = rhs_[i];
-    }
-    return out;
-  }
-
- private:
-  // Runs simplex with Dantzig's largest-coefficient rule, falling back to
-  // Bland's rule (which cannot cycle) once the iteration count suggests
-  // degeneracy. Entering columns are restricted to [0, entering_limit).
-  // `iteration_counter` receives one increment per simplex iteration.
-  LpStatus RunSimplex(std::vector<Rational>* z, Rational* zval,
-                      size_t entering_limit,
-                      obs::Counter* iteration_counter) {
-    const size_t bland_after = 20 * (rows_.size() + entering_limit) + 200;
-    size_t iterations = 0;
-    for (;;) {
-      // Cooperative cancellation: pivots are counted per iteration and
-      // the wall clock sampled every 64. On a trip we bail with a dummy
-      // status — the governed public entry points re-check the token
-      // before publishing, so this value never escapes.
-      if (exec::AccountPivots(1, "simplex.run") ||
-          ((iterations & 63) == 0 &&
-           exec::GovernorScope::Current() != nullptr &&
-           exec::GovernorScope::Current()->CheckDeadline("simplex.run"))) {
-        return LpStatus::kInfeasible;
-      }
-      iteration_counter->Increment();
-      size_t enter = entering_limit;
-      if (iterations++ < bland_after) {
-        // Dantzig: most positive reduced cost.
-        for (size_t j = 0; j < entering_limit; ++j) {
-          if ((*z)[j].Sign() > 0 &&
-              (enter == entering_limit || (*z)[j] > (*z)[enter])) {
-            enter = j;
-          }
-        }
+      // The atom is `scale * var op rhs` for a column or slack `var`.
+      size_t var;
+      Rational scale;
+      if (lhs.terms().size() == 1) {
+        var = Column(lhs.terms().begin()->first);
+        scale = lhs.terms().begin()->second;
       } else {
-        // Bland: smallest-index column with positive reduced cost.
-        for (size_t j = 0; j < entering_limit; ++j) {
-          if ((*z)[j].Sign() > 0) {
-            enter = j;
-            break;
-          }
+        // Rows are keyed by their terms with a positive leading
+        // coefficient, so `t <= b` and `t >= a` bound one slack.
+        scale = Rational(lhs.terms().begin()->second.Sign());
+        LinearExpr key = lhs.Scale(scale);
+        key.AddConstant(-key.constant());
+        size_t row = std::find(row_exprs.begin(), row_exprs.end(), key) -
+                     row_exprs.begin();
+        if (row == row_exprs.size()) AddRow(&row_exprs, std::move(key));
+        var = vars_.size() + row;
+      }
+      DeltaRational b{-lhs.constant() / scale, Rational()};
+      bool is_upper = scale.Sign() > 0;
+      bool is_eq = atom.op() == RelOp::kEq;
+      if (atom.op() == RelOp::kLt) b.k = Rational(is_upper ? -1 : 1);
+      if (is_eq || is_upper) Tighten(&upper_[var], b, true);
+      if (is_eq || !is_upper) Tighten(&lower_[var], b, false);
+    }
+    for (const LinearExpr& obj : objectives) {
+      objective_vars_.push_back(vars_.size() + row_exprs.size());
+      objective_constants_.push_back(obj.constant());
+      LinearExpr terms = obj;
+      terms.AddConstant(-terms.constant());
+      AddRow(&row_exprs, std::move(terms));
+    }
+    size_t num_vars = vars_.size() + row_exprs.size();
+    // The tableau is the dominant transient allocation; charge it against
+    // the governor's memory budget.
+    exec::AccountKernelMemory(row_exprs.size() * num_vars * sizeof(Rational),
+                              "simplex.tableau");
+    row_of_.assign(num_vars, kNone);
+    value_.resize(num_vars);
+    for (size_t v = 0; v < num_vars; ++v) {
+      if (lower_[v] && upper_[v] && *lower_[v] > *upper_[v]) {
+        infeasible_ = true;
+      }
+    }
+    // Non-basic columns start at the point of their bounds nearest 0; each
+    // slack starts basic, at the value of its row.
+    for (size_t j = 0; j < vars_.size(); ++j) {
+      if (lower_[j] && *lower_[j] > value_[j]) value_[j] = *lower_[j];
+      if (upper_[j] && *upper_[j] < value_[j]) value_[j] = *upper_[j];
+    }
+    rows_.assign(row_exprs.size(), std::vector<Rational>(num_vars));
+    for (size_t r = 0; r < row_exprs.size(); ++r) {
+      size_t slack = vars_.size() + r;
+      basic_.push_back(slack);
+      row_of_[slack] = r;
+      for (const auto& [v, coeff] : row_exprs[r].terms()) {
+        size_t j = Column(v);
+        rows_[r][j] = coeff;
+        value_[slack] = value_[slack] + value_[j] * coeff;
+      }
+    }
+  }
+
+  // Decides whether the atoms have a common point (δ-rationals make the
+  // strict ones exact): repairs the smallest basic variable outside its
+  // bounds until none is. False when infeasible or when the governor trips.
+  bool Check() {
+    if (infeasible_) {
+      LYRIC_OBS_COUNT("simplex.lp_infeasible");
+      return false;
+    }
+    for (size_t iteration = 0;; ++iteration) {
+      if (Interrupted(iteration)) return false;
+      size_t row = kNone;
+      for (size_t r = 0; r < rows_.size(); ++r) {
+        size_t b = basic_[r];
+        if ((row == kNone || b < basic_[row]) &&
+            ((lower_[b] && value_[b] < *lower_[b]) ||
+             (upper_[b] && value_[b] > *upper_[b]))) {
+          row = r;
         }
       }
-      if (enter == entering_limit) return LpStatus::kOptimal;
-      // Ratio test with Bland tie-break on the leaving basic variable.
-      size_t leave = rows_.size();
-      Rational best_ratio;
-      for (size_t i = 0; i < rows_.size(); ++i) {
-        if (rows_[i][enter].Sign() <= 0) continue;
-        Rational ratio = rhs_[i] / rows_[i][enter];
-        if (leave == rows_.size() || ratio < best_ratio ||
-            (ratio == best_ratio && basis_[i] < basis_[leave])) {
-          leave = i;
-          best_ratio = ratio;
+      if (row == kNone) return true;
+      size_t b = basic_[row];
+      bool raise = lower_[b] && value_[b] < *lower_[b];
+      size_t enter = Entering(row, raise);
+      if (enter == kNone) {
+        LYRIC_OBS_COUNT("simplex.lp_infeasible");
+        return false;
+      }
+      PivotAndUpdate(row, enter, raise ? *lower_[b] : *upper_[b]);
+    }
+  }
+
+  // Replaces every bound and value by its real part: the tableau then
+  // describes the closure of the atoms, and a Check()ed point stays
+  // feasible (lexicographic order implies order of the real parts).
+  void Close() {
+    for (size_t v = 0; v < value_.size(); ++v) {
+      value_[v].k = Rational();
+      if (lower_[v]) lower_[v]->k = Rational();
+      if (upper_[v]) upper_[v]->k = Rational();
+    }
+  }
+
+  // Maximizes (or minimizes) objective `i` over the closure, starting from
+  // the feasible point Close() left. kUnbounded leaves the tableau at a
+  // feasible point where the objective is >= 1 (<= -1 when minimizing);
+  // a governor trip returns kInfeasible.
+  LpStatus Optimize(size_t i, bool maximize) {
+    size_t row = row_of_[objective_vars_[i]];
+    for (size_t iteration = 0;; ++iteration) {
+      if (Interrupted(iteration)) return LpStatus::kInfeasible;
+      size_t enter = Entering(row, maximize);
+      if (enter == kNone) return LpStatus::kOptimal;
+      bool up = (rows_[row][enter].Sign() > 0) == maximize;
+      // Ratio test: the largest step of the entering variable that keeps
+      // every bound, ties to the smallest variable.
+      Bound step;
+      size_t leave = kNone;
+      auto limit = [&](size_t var, const DeltaRational& room) {
+        int cmp = step ? room.Compare(*step) : -1;
+        if (cmp < 0 || (cmp == 0 && var < leave)) {
+          step = room;
+          leave = var;
+        }
+      };
+      if (up && upper_[enter]) limit(enter, *upper_[enter] - value_[enter]);
+      if (!up && lower_[enter]) limit(enter, value_[enter] - *lower_[enter]);
+      for (size_t r = 0; r < rows_.size(); ++r) {
+        const Rational& a = rows_[r][enter];
+        if (a.IsZero()) continue;
+        size_t b = basic_[r];
+        Rational per_unit = a.Abs().Inverse();
+        if ((a.Sign() > 0) == up) {
+          if (upper_[b]) limit(b, (*upper_[b] - value_[b]) * per_unit);
+        } else if (lower_[b]) {
+          limit(b, (value_[b] - *lower_[b]) * per_unit);
         }
       }
-      if (leave == rows_.size()) return LpStatus::kUnbounded;
-      Pivot(leave, enter, z, zval, z->size());
-    }
-  }
-
-  void Pivot(size_t row, size_t col, std::vector<Rational>* z, Rational* zval,
-             size_t total_cols) {
-    LYRIC_OBS_COUNT("simplex.pivots");
-    Rational p = rows_[row][col];
-    assert(!p.IsZero());
-    Rational inv = p.Inverse();
-    for (size_t j = 0; j < total_cols; ++j) rows_[row][j] *= inv;
-    rhs_[row] *= inv;
-    for (size_t i = 0; i < rows_.size(); ++i) {
-      if (i == row) continue;
-      Rational f = rows_[i][col];
-      if (f.IsZero()) continue;
-      for (size_t j = 0; j < total_cols; ++j) {
-        rows_[i][j] -= f * rows_[row][j];
+      if (!step) {
+        // Walk far enough along the ray that the objective clears 0.
+        LYRIC_OBS_COUNT("simplex.lp_unbounded");
+        Rational far =
+            (Value(i).Abs() + Rational(1)) / rows_[row][enter].Abs();
+        Update(enter, value_[enter] + DeltaRational{up ? far : -far, {}});
+        return LpStatus::kUnbounded;
       }
-      rhs_[i] -= f * rhs_[row];
-    }
-    Rational fz = (*z)[col];
-    if (!fz.IsZero()) {
-      for (size_t j = 0; j < total_cols; ++j) {
-        (*z)[j] -= fz * rows_[row][j];
+      if (leave == enter) {
+        // The entering variable meets its own bound: no basis change.
+        Update(enter, up ? value_[enter] + *step : value_[enter] - *step);
+      } else {
+        bool rises = (rows_[row_of_[leave]][enter].Sign() > 0) == up;
+        PivotAndUpdate(row_of_[leave], enter,
+                       rises ? *upper_[leave] : *lower_[leave]);
       }
-      *zval += fz * rhs_[row];
-    }
-    basis_[row] = col;
-  }
-
-  size_t num_cols_;
-  std::vector<std::vector<Rational>> rows_;
-  std::vector<Rational> rhs_;
-  std::vector<size_t> basis_;
-};
-
-// ---------------------------------------------------------------------------
-// Translation from conjunctions over free variables to the core form.
-// ---------------------------------------------------------------------------
-
-// Splits the atoms of `c` by kind. Constant atoms were already folded by
-// Conjunction::Add; a remaining constant-false collapses to False().
-struct SplitAtoms {
-  std::vector<LinearConstraint> closed;  // kEq, kLe
-  std::vector<LinearConstraint> strict;  // kLt
-  std::vector<LinearConstraint> diseq;   // kNeq
-};
-
-SplitAtoms Split(const Conjunction& c) {
-  SplitAtoms out;
-  for (const LinearConstraint& atom : c.atoms()) {
-    switch (atom.op()) {
-      case RelOp::kEq:
-      case RelOp::kLe:
-        out.closed.push_back(atom);
-        break;
-      case RelOp::kLt:
-        out.strict.push_back(atom);
-        break;
-      case RelOp::kNeq:
-        out.diseq.push_back(atom);
-        break;
     }
   }
-  return out;
-}
 
-// Maps each free variable to a pair of non-negative columns (v = y+ - y-),
-// plus an optional epsilon column at the end.
-class VarMap {
- public:
-  VarMap(const Conjunction& c, const LinearExpr& extra, bool with_epsilon) {
-    VarSet vars = c.FreeVars();
-    extra.CollectVars(&vars);
-    for (VarId v : vars) {
-      col_of_[v] = vars_.size() * 2;
-      vars_.push_back(v);
+  // The current value of objective `i`, constant included.
+  Rational Value(size_t i) const {
+    return value_[objective_vars_[i]].c + objective_constants_[i];
+  }
+
+  // The current point, with δ instantiated small enough that every bound
+  // still holds (strict ones strictly).
+  Assignment Point() const {
+    Rational delta(1);
+    auto keep_order = [&](const DeltaRational& lo, const DeltaRational& hi) {
+      if (lo.c < hi.c && lo.k > hi.k) {
+        delta = std::min(delta, (hi.c - lo.c) / (lo.k - hi.k));
+      }
+    };
+    for (size_t v = 0; v < value_.size(); ++v) {
+      if (lower_[v]) keep_order(*lower_[v], value_[v]);
+      if (upper_[v]) keep_order(value_[v], *upper_[v]);
     }
-    with_epsilon_ = with_epsilon;
-  }
-
-  size_t num_cols() const { return vars_.size() * 2 + (with_epsilon_ ? 1 : 0); }
-  size_t epsilon_col() const {
-    assert(with_epsilon_);
-    return vars_.size() * 2;
-  }
-
-  // Expands `expr relop 0` (with optional +epsilon on the lhs) into a core
-  // row `coeffs . y = -constant`, adding a slack column value via the
-  // caller. Returns the coefficient vector over the split columns (epsilon
-  // included, slack NOT included).
-  std::vector<Rational> ExpandCoeffs(const LinearExpr& expr,
-                                     bool add_epsilon) const {
-    std::vector<Rational> out(num_cols());
-    for (const auto& [var, coeff] : expr.terms()) {
-      size_t col = col_of_.at(var);
-      out[col] = coeff;
-      out[col + 1] = -coeff;
-    }
-    if (add_epsilon) out[epsilon_col()] = Rational(1);
-    return out;
-  }
-
-  Assignment PointFromCols(const std::vector<Rational>& cols) const {
     Assignment out;
-    for (size_t k = 0; k < vars_.size(); ++k) {
-      out[vars_[k]] = cols[2 * k] - cols[2 * k + 1];
+    for (size_t j = 0; j < vars_.size(); ++j) {
+      out[vars_[j]] = value_[j].c + value_[j].k * delta;
     }
     return out;
   }
 
  private:
-  std::vector<VarId> vars_;
-  std::map<VarId, size_t> col_of_;
-  bool with_epsilon_ = false;
-};
-
-struct ClosedLpResult {
-  LpStatus status = LpStatus::kInfeasible;
-  Rational value;
-  Assignment point;
-  Rational epsilon;  // value of the epsilon column, when used
-};
-
-// Solves max/min `objective` over the *closed* system given by
-// `closed` atoms plus `strict` atoms relaxed as (expr + eps <= 0) when
-// `use_epsilon`, or as (expr <= 0) otherwise. When `use_epsilon`, the
-// objective must be empty and the LP maximizes eps subject to eps <= 1.
-ClosedLpResult SolveClosed(const SplitAtoms& atoms,
-                           const LinearExpr& objective, bool maximize,
-                           bool use_epsilon) {
-  VarMap vm(Conjunction(), objective, use_epsilon);
-  // VarMap needs all constraint vars too; rebuild with a conjunction view.
-  std::vector<LinearConstraint> all = atoms.closed;
-  all.insert(all.end(), atoms.strict.begin(), atoms.strict.end());
-  Conjunction cview(all);
-  vm = VarMap(cview, objective, use_epsilon);
-
-  // Count slack columns: one per inequality row (closed kLe + all strict
-  // rows) plus one for the eps <= 1 bound row.
-  size_t num_ineq = 0;
-  for (const LinearConstraint& a : atoms.closed) {
-    if (a.op() == RelOp::kLe) ++num_ineq;
-  }
-  num_ineq += atoms.strict.size();
-  if (use_epsilon) ++num_ineq;  // eps <= 1
-
-  size_t struct_cols = vm.num_cols();
-  size_t total = struct_cols + num_ineq;
-  CoreLp lp(total);
-
-  size_t slack = struct_cols;
-  auto add_atom_row = [&](const LinearExpr& expr, bool is_eq,
-                          bool add_epsilon) {
-    std::vector<Rational> coeffs = vm.ExpandCoeffs(expr, add_epsilon);
-    coeffs.resize(total);
-    if (!is_eq) coeffs[slack++] = Rational(1);
-    // expr <= 0  ==>  terms . y + slack = -constant.
-    lp.AddRow(std::move(coeffs), -expr.constant());
-  };
-
-  for (const LinearConstraint& a : atoms.closed) {
-    add_atom_row(a.lhs(), a.op() == RelOp::kEq, false);
-  }
-  for (const LinearConstraint& a : atoms.strict) {
-    add_atom_row(a.lhs(), false, use_epsilon);
-  }
-  if (use_epsilon) {
-    // eps <= 1.
-    std::vector<Rational> coeffs(total);
-    coeffs[vm.epsilon_col()] = Rational(1);
-    coeffs[slack++] = Rational(1);
-    lp.AddRow(std::move(coeffs), Rational(1));
+  size_t Column(VarId var) const {
+    return std::lower_bound(vars_.begin(), vars_.end(), var) - vars_.begin();
   }
 
-  std::vector<Rational> obj(total);
-  Rational obj_constant;
-  if (use_epsilon) {
-    obj[vm.epsilon_col()] = Rational(1);
-  } else {
-    LinearExpr dir = maximize ? objective : -objective;
-    std::vector<Rational> expanded = vm.ExpandCoeffs(dir, false);
-    for (size_t j = 0; j < expanded.size(); ++j) obj[j] = expanded[j];
-    obj_constant = dir.constant();
+  void AddRow(std::vector<LinearExpr>* row_exprs, LinearExpr terms) {
+    row_exprs->push_back(std::move(terms));
+    lower_.emplace_back();
+    upper_.emplace_back();
   }
 
-  CoreSolution core = lp.Maximize(obj);
-  ClosedLpResult out;
-  out.status = core.status;
-  if (core.status != LpStatus::kOptimal) return out;
-  out.value = core.value + obj_constant;
-  if (!use_epsilon && !maximize) out.value = -out.value;
-  out.point = vm.PointFromCols(core.point);
-  if (use_epsilon) out.epsilon = core.point[vm.epsilon_col()];
-  return out;
-}
+  static void Tighten(Bound* bound, const DeltaRational& b, bool is_upper) {
+    if (!*bound || (is_upper ? b < **bound : b > **bound)) *bound = b;
+  }
 
-// Satisfiability of closed + strict atoms only (no disequalities).
-// Returns the epsilon-LP result so callers can reuse the interior point.
-ClosedLpResult SatNoDiseq(const SplitAtoms& atoms) {
-  if (atoms.strict.empty()) {
-    ClosedLpResult r = SolveClosed(atoms, LinearExpr(), true, false);
-    if (r.status == LpStatus::kUnbounded) {
-      // Zero objective cannot be unbounded; defensive.
-      r.status = LpStatus::kOptimal;
+  // Cooperative cancellation: one pivot is accounted per iteration and the
+  // wall clock sampled every 64. On a trip the caller bails with a dummy
+  // answer — the public entry points re-check the token before publishing,
+  // so that answer never escapes.
+  static bool Interrupted(size_t iteration) {
+    return exec::AccountPivots(1, "simplex.run") ||
+           ((iteration & 63) == 0 &&
+            exec::GovernorScope::Current() != nullptr &&
+            exec::GovernorScope::Current()->CheckDeadline("simplex.run"));
+  }
+
+  // Bland's rule: the smallest non-basic variable that can move the basic
+  // variable of `row` up (`raise`) or down within its own bounds.
+  size_t Entering(size_t row, bool raise) const {
+    for (size_t j = 0; j < value_.size(); ++j) {
+      const Rational& a = rows_[row][j];
+      if (a.IsZero()) continue;  // Basic variables have 0 here too.
+      bool up = (a.Sign() > 0) == raise;
+      if (up ? !upper_[j] || value_[j] < *upper_[j]
+             : !lower_[j] || value_[j] > *lower_[j]) {
+        return j;
+      }
     }
-    r.epsilon = Rational(1);  // No strict atoms: any feasible point works.
-    return r;
+    return kNone;
   }
-  ClosedLpResult r = SolveClosed(atoms, LinearExpr(), true, true);
-  if (r.status == LpStatus::kOptimal && r.epsilon.Sign() <= 0) {
-    r.status = LpStatus::kInfeasible;  // Only the closure is feasible.
-  }
-  return r;
-}
 
-// The closure of the atoms: strict atoms become non-strict, disequalities
-// are dropped.
-SplitAtoms ClosureAtoms(const SplitAtoms& atoms) {
-  SplitAtoms out;
-  out.closed = atoms.closed;
-  for (const LinearConstraint& a : atoms.strict) {
-    out.closed.push_back(a.Closure());
+  // Sets non-basic variable `j` to `v`, moving the basic variables along.
+  void Update(size_t j, const DeltaRational& v) {
+    DeltaRational diff = v - value_[j];
+    for (size_t r = 0; r < rows_.size(); ++r) {
+      const Rational& a = rows_[r][j];
+      if (!a.IsZero()) value_[basic_[r]] = value_[basic_[r]] + diff * a;
+    }
+    value_[j] = v;
+  }
+
+  // Moves the basic variable of `row` to `v` through non-basic `j`, then
+  // swaps the two.
+  void PivotAndUpdate(size_t row, size_t j, const DeltaRational& v) {
+    size_t b = basic_[row];
+    std::vector<Rational>& pivot_row = rows_[row];
+    Rational inv = pivot_row[j].Inverse();
+    Update(j, value_[j] + (v - value_[b]) * inv);
+    LYRIC_OBS_COUNT("simplex.pivots");
+    // b = a*j + rest  =>  j = b/a - rest/a.
+    Rational neg_inv = -inv;
+    pivot_row[j] = Rational();
+    pivot_row[b] = Rational(-1);
+    std::vector<size_t> nonzero;
+    for (size_t l = 0; l < pivot_row.size(); ++l) {
+      if (pivot_row[l].IsZero()) continue;
+      pivot_row[l] *= neg_inv;
+      nonzero.push_back(l);
+    }
+    for (size_t r = 0; r < rows_.size(); ++r) {
+      Rational f = rows_[r][j];
+      if (r == row || f.IsZero()) continue;
+      rows_[r][j] = Rational();
+      for (size_t l : nonzero) rows_[r][l] += f * pivot_row[l];
+    }
+    basic_[row] = j;
+    row_of_[j] = row;
+    row_of_[b] = kNone;
+  }
+
+  obs::ScopedHistogramTimer timer_;  // One `simplex.solve` sample per LP.
+  std::vector<VarId> vars_;          // Column j is variable vars_[j].
+  // Variables: the columns, then one slack per row. Row r keeps basic_[r]
+  // as rows_[r] . (all variables); row_of_ is its inverse.
+  std::vector<std::vector<Rational>> rows_;
+  std::vector<size_t> basic_;
+  std::vector<size_t> row_of_;
+  std::vector<DeltaRational> value_;
+  std::vector<Bound> lower_;
+  std::vector<Bound> upper_;
+  std::vector<size_t> objective_vars_;
+  std::vector<Rational> objective_constants_;
+  bool infeasible_ = false;  // A constant-false atom or crossed bounds.
+};
+
+// The left-hand sides of the disequalities of `c`.
+std::vector<LinearExpr> DisequalityExprs(const Conjunction& c) {
+  std::vector<LinearExpr> out;
+  for (const LinearConstraint& atom : c.atoms()) {
+    if (atom.IsDisequality()) out.push_back(atom.lhs());
   }
   return out;
 }
 
-// True iff expr == 0 everywhere on the (closed) feasible set; vacuously
-// true when infeasible.
-bool ClosedEntailsZero(const SplitAtoms& closure, const LinearExpr& expr) {
-  ClosedLpResult mx = SolveClosed(closure, expr, true, false);
-  if (mx.status == LpStatus::kInfeasible) return true;
-  if (mx.status == LpStatus::kUnbounded || !mx.value.IsZero()) return false;
-  ClosedLpResult mn = SolveClosed(closure, expr, false, false);
-  if (mn.status == LpStatus::kUnbounded || !mn.value.IsZero()) return false;
+// True iff objective `i` is 0 on the whole closure of a Close()d tableau.
+bool ClosureEntailsZero(Tableau* t, size_t i) {
+  for (bool maximize : {true, false}) {
+    if (t->Optimize(i, maximize) != LpStatus::kOptimal ||
+        !t->Value(i).IsZero()) {
+      return false;
+    }
+  }
   return true;
 }
 
@@ -455,15 +405,15 @@ Result<bool> Simplex::IsSatisfiable(const Conjunction& c) {
   }
   if (std::optional<bool> cached = cache.LookupSat(c)) return *cached;
   bool sat = [&] {
-    SplitAtoms atoms = Split(c);
-    ClosedLpResult base = SatNoDiseq(atoms);
-    if (base.status != LpStatus::kOptimal) return false;
+    std::vector<LinearExpr> diseqs = DisequalityExprs(c);
+    Tableau t(c, diseqs);
+    if (!t.Check()) return false;
     // A nonempty convex set lies inside a finite union of hyperplanes iff
     // it lies inside one of them, so the disequalities can be checked one
     // at a time against the closure.
-    SplitAtoms closure = ClosureAtoms(atoms);
-    for (const LinearConstraint& d : atoms.diseq) {
-      if (ClosedEntailsZero(closure, d.lhs())) return false;
+    t.Close();
+    for (size_t i = 0; i < diseqs.size(); ++i) {
+      if (ClosureEntailsZero(&t, i)) return false;
     }
     return true;
   }();
@@ -485,61 +435,45 @@ Result<std::optional<Assignment>> Simplex::FindPoint(const Conjunction& c) {
   LYRIC_ASSIGN_OR_RETURN(bool sat, IsSatisfiable(c));
   if (!sat) return std::optional<Assignment>();
 
-  SplitAtoms atoms = Split(c);
-  ClosedLpResult base = SatNoDiseq(atoms);
-  Assignment x = base.point;
+  std::vector<LinearExpr> diseqs = DisequalityExprs(c);
+  Tableau t(c, diseqs);
+  if (!t.Check()) {
+    LYRIC_RETURN_NOT_OK(exec::CheckCancellation("simplex.find_point"));
+    return Status::Internal("FindPoint: no point after sat check");
+  }
+  Assignment x = t.Point();
+  t.Close();
 
-  // x satisfies the closed and strict atoms. Repair each violated
-  // disequality by blending toward a witness that breaks it; convexity
+  // x satisfies the =, <= and < atoms. Repair each violated disequality by
+  // blending toward a point y of the closure that breaks it; convexity
   // keeps the closed atoms satisfied and a small enough step keeps the
   // strict ones.
-  SplitAtoms closure = ClosureAtoms(atoms);
-  for (const LinearConstraint& d : atoms.diseq) {
-    Rational tx = d.lhs().Eval(x).ValueOr(Rational());
-    if (!tx.IsZero()) continue;
-    // Find y in the closure with t(y) != 0 (exists: IsSatisfiable passed).
-    ClosedLpResult mx = SolveClosed(closure, d.lhs(), true, false);
-    ClosedLpResult pick = mx;
-    if (mx.status != LpStatus::kOptimal || mx.value.IsZero()) {
-      ClosedLpResult mn = SolveClosed(closure, d.lhs(), false, false);
-      pick = mn;
+  for (size_t i = 0; i < diseqs.size(); ++i) {
+    const LinearExpr& d = diseqs[i];
+    if (!d.Eval(x).ValueOr(Rational()).IsZero()) continue;
+    // y exists because IsSatisfiable passed: maximizing d either stops
+    // at a point where d != 0 or shows max d = 0, and then minimizing does.
+    LpStatus st = t.Optimize(i, true);
+    if (st == LpStatus::kOptimal && t.Value(i).IsZero()) {
+      st = t.Optimize(i, false);
     }
-    if (pick.status != LpStatus::kOptimal) {
-      // Unbounded objective: walk a little along the improving ray is not
-      // directly available from the tableau; fall back to a bounded probe
-      // by adding |t| <= 1... simpler: bound t in [-1, 1] and re-solve.
-      SplitAtoms bounded = closure;
-      bounded.closed.push_back(
-          LinearConstraint(d.lhs() - LinearExpr::Constant(Rational(1)),
-                           RelOp::kLe));
-      bounded.closed.push_back(
-          LinearConstraint(-d.lhs() - LinearExpr::Constant(Rational(1)),
-                           RelOp::kLe));
-      pick = SolveClosed(bounded, d.lhs(), true, false);
-      if (pick.status != LpStatus::kOptimal || pick.value.IsZero()) {
-        pick = SolveClosed(bounded, d.lhs(), false, false);
-      }
-    }
-    if (pick.status != LpStatus::kOptimal || pick.value.IsZero()) {
+    if (st == LpStatus::kInfeasible || t.Value(i).IsZero()) {
       // A governed run may have bailed out of the witness LP mid-solve;
       // report the trip rather than a spurious internal error.
       LYRIC_RETURN_NOT_OK(exec::CheckCancellation("simplex.find_point"));
       return Status::Internal("FindPoint: no witness for disequality " +
-                              d.ToString());
+                              d.ToString() + " != 0");
     }
-    const Assignment& y = pick.point;
+    Assignment y = t.Point();
     // Largest step bound that keeps every strict atom satisfied.
     Rational bound(1);
-    for (const LinearConstraint& s : atoms.strict) {
+    for (const LinearConstraint& s : c.atoms()) {
+      if (!s.IsStrict()) continue;
       Rational ex = s.lhs().Eval(x).ValueOr(Rational());
-      // Fill in any variable of s missing from x or y as 0 — cannot happen
-      // because VarMap covered all constraint vars.
       Rational ey = s.lhs().Eval(y).ValueOr(Rational());
-      if (ey >= ex) {
-        if (ey == ex) continue;  // Constant along the segment; stays < 0.
+      if (ey > ex) {
         // (1-l)ex + l*ey < 0  <=>  l < -ex / (ey - ex).
-        Rational lim = (-ex) / (ey - ex);
-        if (lim < bound) bound = lim;
+        bound = std::min(bound, (-ex) / (ey - ex));
       }
     }
     // Choose l in (0, bound) avoiding the finitely many values where some
@@ -547,32 +481,19 @@ Result<std::optional<Assignment>> Simplex::FindPoint(const Conjunction& c) {
     for (int denom = 2;; ++denom) {
       Rational l = bound * Rational(1, denom);
       Assignment cand;
-      for (const auto& [var, vx] : x) {
-        Rational vy = vx;
-        auto it = y.find(var);
-        if (it != y.end()) vy = it->second;
-        cand[var] = vx + (vy - vx) * l;
-      }
-      // y may have variables x lacks (same VarMap; defensive).
-      for (const auto& [var, vy] : y) {
-        if (!cand.count(var)) cand[var] = vy * l;
-      }
+      for (const auto& [var, vx] : x) cand[var] = vx + (y.at(var) - vx) * l;
       bool ok = true;
-      for (const LinearConstraint& d2 : atoms.diseq) {
-        Rational v = d2.lhs().Eval(cand).ValueOr(Rational(1));
+      for (size_t k = 0; k < diseqs.size() && ok; ++k) {
         // Only reject candidates that break an already-satisfied (or the
         // current) disequality; each disequality excludes at most one l.
-        if (v.IsZero() && (&d2 == &d || !d2.lhs().Eval(x).ValueOr(
-                                            Rational(1)).IsZero())) {
-          ok = false;
-          break;
-        }
+        ok = !diseqs[k].Eval(cand).ValueOr(Rational(1)).IsZero() ||
+             (k != i && diseqs[k].Eval(x).ValueOr(Rational(1)).IsZero());
       }
       if (ok) {
         x = std::move(cand);
         break;
       }
-      if (denom > static_cast<int>(atoms.diseq.size()) + 4) {
+      if (denom > static_cast<int>(diseqs.size()) + 4) {
         return Status::Internal("FindPoint: step selection failed");
       }
     }
@@ -586,40 +507,45 @@ Result<LpSolution> Simplex::Maximize(const LinearExpr& objective,
   LYRIC_OBS_COUNT("simplex.calls.maximize");
   LYRIC_RETURN_NOT_OK(exec::CheckCancellation("simplex.maximize"));
   LpSolution out;
-  {
-    // Fast path: a closed system (no strict atoms, no disequalities) needs
-    // exactly one LP — the optimum is always attained.
-    SplitAtoms atoms = Split(c);
-    if (atoms.strict.empty() && atoms.diseq.empty()) {
-      ClosedLpResult r = SolveClosed(atoms, objective, true, false);
-      LYRIC_RETURN_NOT_OK(exec::CheckCancellation("simplex.maximize"));
-      out.status = r.status;
-      if (r.status == LpStatus::kOptimal) {
-        out.value = r.value;
-        out.attained = true;
-        out.point = std::move(r.point);
-      }
+  // A closed system (no strict atoms, no disequalities) needs exactly one
+  // LP, and its optimum is always attained.
+  bool closed = std::none_of(
+      c.atoms().begin(), c.atoms().end(), [](const LinearConstraint& a) {
+        return a.IsStrict() || a.IsDisequality();
+      });
+  if (!closed) {
+    LYRIC_ASSIGN_OR_RETURN(bool sat, IsSatisfiable(c));
+    if (!sat) {
+      out.status = LpStatus::kInfeasible;
       return out;
     }
   }
-  LYRIC_ASSIGN_OR_RETURN(bool sat, IsSatisfiable(c));
-  if (!sat) {
+  bool feasible = false;
+  {
+    // One tableau, one `simplex.solve` sample: it ends before the
+    // attainment check below runs LPs of its own.
+    Tableau t(c, {objective});
+    feasible = t.Check();
+    if (feasible) {
+      t.Close();
+      out.status = t.Optimize(0, true);
+      if (out.status == LpStatus::kOptimal) {
+        out.value = t.Value(0);
+        out.point = t.Point();
+      }
+    }
+  }
+  LYRIC_RETURN_NOT_OK(exec::CheckCancellation("simplex.maximize"));
+  if (!feasible) {
+    if (!closed) return Status::Internal("closure infeasible after sat check");
     out.status = LpStatus::kInfeasible;
     return out;
   }
-  SplitAtoms atoms = Split(c);
-  SplitAtoms closure = ClosureAtoms(atoms);
-  ClosedLpResult r = SolveClosed(closure, objective, true, false);
-  if (r.status == LpStatus::kUnbounded) {
-    out.status = LpStatus::kUnbounded;
+  if (out.status != LpStatus::kOptimal) return out;
+  if (closed) {
+    out.attained = true;
     return out;
   }
-  if (r.status != LpStatus::kOptimal) {
-    LYRIC_RETURN_NOT_OK(exec::CheckCancellation("simplex.maximize"));
-    return Status::Internal("closure infeasible after sat check");
-  }
-  out.status = LpStatus::kOptimal;
-  out.value = r.value;
   // Attained iff the original set meets the optimal face.
   Conjunction on_face = c;
   on_face.Add(LinearConstraint(objective - LinearExpr::Constant(out.value),
@@ -628,9 +554,6 @@ Result<LpSolution> Simplex::Maximize(const LinearExpr& objective,
   if (pt.has_value()) {
     out.attained = true;
     out.point = std::move(*pt);
-  } else {
-    out.attained = false;
-    out.point = r.point;
   }
   return out;
 }
@@ -646,13 +569,17 @@ Result<bool> Simplex::EntailsZero(const Conjunction& c,
                                   const LinearExpr& expr) {
   LYRIC_OBS_COUNT("simplex.calls.entails_zero");
   LYRIC_RETURN_NOT_OK(exec::CheckCancellation("simplex.entails_zero"));
-  SplitAtoms atoms = Split(c);
   // If c itself is unsatisfiable, entailment holds vacuously.
   LYRIC_ASSIGN_OR_RETURN(bool sat, IsSatisfiable(c));
   if (!sat) return true;
   // With c satisfiable, disequalities cannot change the entailment (the
   // punctured set and its closure entail the same linear equalities).
-  bool entails = ClosedEntailsZero(ClosureAtoms(atoms), expr);
+  Tableau t(c, {expr});
+  bool entails = t.Check();
+  if (entails) {
+    t.Close();
+    entails = ClosureEntailsZero(&t, 0);
+  }
   LYRIC_RETURN_NOT_OK(exec::CheckCancellation("simplex.entails_zero"));
   return entails;
 }

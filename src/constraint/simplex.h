@@ -9,12 +9,15 @@
 //     §3.1, computed as an LP interval rather than iterated
 //     Fourier-Motzkin).
 //
-// Implementation: textbook two-phase primal simplex with Bland's rule on a
-// dense tableau of exact rationals. Free variables are split into
-// positive/negative parts; strict inequalities are handled with an
-// auxiliary epsilon variable; disequalities via the convexity argument
-// (a polyhedron is inside a finite union of hyperplanes iff it is inside
-// one of them).
+// Implementation: one bounded-variable simplex (Dutertre & de Moura, "A
+// Fast Linear-Arithmetic Solver for DPLL(T)", CAV 2006) with Bland's rule
+// on a dense tableau of exact rationals. Variables are unbounded columns;
+// each atom bounds its row's slack variable (or its variable, when it has
+// one). Strict inequalities are exact via δ-rationals (x < b is
+// x <= b - δ for an infinitesimal δ > 0); optimization runs the primal
+// bounded simplex over the closure from the feasible basis. Disequalities
+// use the convexity argument (a polyhedron is inside a finite union of
+// hyperplanes iff it is inside one of them).
 
 #ifndef LYRIC_CONSTRAINT_SIMPLEX_H_
 #define LYRIC_CONSTRAINT_SIMPLEX_H_

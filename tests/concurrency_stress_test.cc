@@ -104,11 +104,12 @@ TEST_F(ConcurrencyStressTest, ExecuteExportLogAndChurnInParallel) {
     });
   }
 
-  // 2) Tombstone churners: entailment forces simplex runs, and a
-  //    one-pivot budget trips the governor on the first one, storing a
-  //    tombstone; the next iteration hits it (ForceTrip runs under the
-  //    cache-shard lock — the deepest cross-subsystem nesting in the
-  //    hierarchy). Trips surface as a degraded result, not an error.
+  // 2) Tombstone churners: entailment of a two-variable conclusion forces
+  //    simplex pivots, and a one-pivot budget trips the governor on the
+  //    first one, storing a tombstone; the next iteration hits it
+  //    (ForceTrip runs under the cache-shard lock — the deepest
+  //    cross-subsystem nesting in the hierarchy). Trips surface as a
+  //    degraded result, not an error.
   constexpr int kChurners = 2;
   for (int id = 0; id < kChurners; ++id) {
     workers.emplace_back([&] {
@@ -118,8 +119,8 @@ TEST_F(ConcurrencyStressTest, ExecuteExportLogAndChurnInParallel) {
       Evaluator ev(&db_, opts);
       while (!stop.load(std::memory_order_relaxed)) {
         auto r = ev.Execute(
-            "SELECT DSK FROM Desk DSK WHERE DSK.drawer_center[C] and "
-            "C(p, q) |= p = -2");
+            "SELECT DSK FROM Desk DSK WHERE DSK.extent[E] and "
+            "E(w, z) |= w + z <= 6");
         if (!r.ok() || !r->governor_status().ok()) tripped.fetch_add(1);
       }
     });

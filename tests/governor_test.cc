@@ -263,10 +263,12 @@ TEST_F(GovernorTest, PivotCapTripsEntailmentQuery) {
   EvalOptions opts;
   opts.threads = 1;
   opts.max_pivots = 1;
-  // Entailment forces simplex runs; one pivot cannot finish them.
+  // Entailment forces simplex runs; one pivot cannot finish them. The
+  // conclusion spans both box dimensions, so refuting its negation takes
+  // pivots (one-variable atoms are plain bounds that need none).
   ResultSet r = Run(
-      "SELECT DSK FROM Desk DSK WHERE DSK.drawer_center[C] and "
-      "C(p, q) |= p = -2",
+      "SELECT DSK FROM Desk DSK WHERE DSK.extent[E] and "
+      "E(w, z) |= w + z <= 6",
       opts);
   EXPECT_TRUE(r.governor_status().IsResourceExhausted())
       << r.governor_status();
@@ -276,8 +278,8 @@ TEST_F(GovernorTest, PivotCapTripsEntailmentQuery) {
   // The cache must not have memoized any verdict from the aborted solve:
   // the unlimited rerun still answers correctly.
   ResultSet full = Run(
-      "SELECT DSK FROM Desk DSK WHERE DSK.drawer_center[C] and "
-      "C(p, q) |= p = -2",
+      "SELECT DSK FROM Desk DSK WHERE DSK.extent[E] and "
+      "E(w, z) |= w + z <= 6",
       EvalOptions{});
   EXPECT_TRUE(full.governor_status().ok());
   EXPECT_EQ(full.size(), 1u);
@@ -288,8 +290,8 @@ TEST_F(GovernorTest, MemoryBudgetTripsTableauAccounting) {
   opts.threads = 1;
   opts.memory_budget = 1;  // One byte: the first tableau trips it.
   ResultSet r = Run(
-      "SELECT DSK FROM Desk DSK WHERE DSK.drawer_center[C] and "
-      "C(p, q) |= q = -1",
+      "SELECT DSK FROM Desk DSK WHERE DSK.extent[E] and "
+      "E(w, z) |= w - z <= 6",
       opts);
   EXPECT_TRUE(r.governor_status().IsResourceExhausted())
       << r.governor_status();

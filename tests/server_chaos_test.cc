@@ -112,8 +112,10 @@ Serverd LaunchServerd(const std::string& store, int64_t crash_at,
                       uint64_t drain_deadline_ms) {
   static std::atomic<int> launch_seq{0};
   Serverd sd;
-  sd.port_file =
-      TempPath("chaos_port." + std::to_string(launch_seq.fetch_add(1)));
+  // The pid keeps the port files of concurrently running test processes
+  // apart: a shared name hands one test another test's server.
+  sd.port_file = TempPath("chaos_port." + std::to_string(::getpid()) + "." +
+                          std::to_string(launch_seq.fetch_add(1)));
   ::unlink(sd.port_file.c_str());
 
   pid_t pid = ::fork();
@@ -163,6 +165,7 @@ bool AwaitReady(Serverd* sd, int timeout_ms = 10000) {
     int port = 0;
     if (in && (in >> port) && port > 0) {
       sd->port = static_cast<uint16_t>(port);
+      ::unlink(sd->port_file.c_str());
       return true;
     }
     int status = 0;
@@ -452,6 +455,7 @@ TEST(ServerChaos, SigtermDrainDropsNoAcceptedQuery) {
 
   constexpr int kClients = 3;
   std::atomic<uint64_t> ok_responses{0};
+  std::atomic<int> clients_served{0};  // clients with at least one OK
   std::atomic<uint64_t> dropped_in_flight{0};
   std::vector<std::string> failures(kClients);
   std::vector<std::thread> threads;
@@ -474,14 +478,20 @@ TEST(ServerChaos, SigtermDrainDropsNoAcceptedQuery) {
           return;
         }
         ++ok_responses;
+        if (round == 0) ++clients_served;
       }
     });
   }
 
-  // Let the load establish, then SIGTERM mid-flight.
-  while (ok_responses.load() < 6) {
+  // Let the load establish, then SIGTERM mid-flight — but only once every
+  // client has had an answer: a client that connects after the signal is
+  // refused, and that refusal would read as a dropped query.
+  for (int spin = 0; spin < 30000 && (ok_responses.load() < 6 ||
+                                      clients_served.load() < kClients);
+       ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  EXPECT_EQ(clients_served.load(), kClients);
   ::kill(sd.pid, SIGTERM);
   for (std::thread& t : threads) t.join();
 

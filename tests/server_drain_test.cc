@@ -114,6 +114,7 @@ TEST(ServerDrain, AcceptedQueriesCompleteWithCorrectAnswers) {
   // expects clients to go away.
   constexpr int kClients = 4;
   std::atomic<uint64_t> ok_responses{0};
+  std::atomic<int> clients_served{0};  // clients with at least one OK
   std::atomic<uint64_t> sheds{0};
   std::vector<std::string> failures(kClients);
   std::vector<std::thread> threads;
@@ -141,14 +142,21 @@ TEST(ServerDrain, AcceptedQueriesCompleteWithCorrectAnswers) {
           return;
         }
         ++ok_responses;
+        if (round == 0) ++clients_served;
       }
     });
   }
 
-  // Let the load establish, then drain mid-flight — ideally while a
+  // Drain only after every client has had its first answer: a client
+  // that connects after BeginDrain is refused, and that refusal would
+  // read as a dropped query. Then drain mid-flight — ideally while a
   // query is actually evaluating, but the assertions hold either way.
-  for (int spin = 0; spin < 2000; ++spin) {
-    if (ok_responses.load() >= 4 && server.in_flight_queries() > 0) break;
+  for (int spin = 0; spin < 300000 && clients_served.load() < kClients;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  EXPECT_EQ(clients_served.load(), kClients);
+  for (int spin = 0; spin < 2000 && server.in_flight_queries() == 0; ++spin) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
   server.BeginDrain();

@@ -181,7 +181,9 @@ TEST(ServerE2E, DiagnosticsTravel) {
 }
 
 TEST(ServerE2E, PartialTrailerTravels) {
-  Database db = MakeDb(12);
+  // Each location is a point, so each binding's entailment costs about one
+  // pivot; 40 desks outrun the 20-pivot budget below.
+  Database db = MakeDb(40);
   // A pivot budget small enough that the scan trips mid-flight: the
   // response must carry the partial rows, the governor code, and the
   // "-- PARTIAL" trailer in the rendered table, matching direct

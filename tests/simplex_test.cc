@@ -108,6 +108,21 @@ TEST_F(SimplexTest, ManyDisequalitiesRepaired) {
   EXPECT_TRUE(c.Eval(*pt).value());
 }
 
+TEST_F(SimplexTest, DisequalityRepairedAlongUnboundedRay) {
+  // The closure point violates the disequality and the set is unbounded
+  // on the repairing side, so the witness comes from walking the ray.
+  for (int64_t excluded : {0, 1}) {
+    Conjunction c;
+    c.Add(LinearConstraint::Gt(X(), C(0)));
+    c.Add(LinearConstraint::Ge(X(), C(0)));
+    c.Add(LinearConstraint::Neq(X(), C(excluded)));
+    Result<std::optional<Assignment>> pt = Simplex::FindPoint(c);
+    ASSERT_TRUE(pt.ok()) << pt.status();
+    ASSERT_TRUE(pt->has_value());
+    EXPECT_TRUE(c.Eval(**pt).value()) << c;
+  }
+}
+
 TEST_F(SimplexTest, MaximizeOverBox) {
   // max x + y over the unit box = 2 at (1, 1).
   auto sol = Simplex::Maximize(X() + Y(), Box01()).value();

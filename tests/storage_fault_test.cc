@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "storage/file_io.h"
 #include "storage/paged_store.h"
@@ -18,10 +19,26 @@ namespace lyric {
 namespace storage {
 namespace {
 
-std::string FreshPath(const std::string& name) {
-  std::string path = ::testing::TempDir() + "/" + name;
+// Removes a store and its WAL.
+void RemoveStore(const std::string& path) {
   ::unlink(path.c_str());
   ::unlink(PagedStore::WalPathFor(path).c_str());
+}
+
+// The pid keeps this binary's files apart from another copy of it that
+// ctest runs concurrently (per-case and whole-binary entries); the files
+// are removed when the process exits.
+std::string FreshPath(const std::string& name) {
+  static struct Created {
+    std::vector<std::string> paths;
+    ~Created() {
+      for (const std::string& p : paths) RemoveStore(p);
+    }
+  } created;
+  std::string path = ::testing::TempDir() + "/" +
+                     std::to_string(::getpid()) + "_" + name;
+  RemoveStore(path);
+  created.paths.push_back(path);
   return path;
 }
 

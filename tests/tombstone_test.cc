@@ -181,10 +181,13 @@ TEST_F(TombstoneTest, RepeatGovernedQueryFailsFastWithIdenticalStatus) {
   ASSERT_TRUE(ids.ok()) << ids.status();
 
   // An entailment query under a pivot budget far too small to finish: the
-  // in-flight kernel computation trips and tombstones its key.
+  // in-flight kernel computation trips and tombstones its key. The
+  // premise is a box and the conclusion spans both of its variables, so
+  // refuting the negation takes pivots (one-variable atoms over a point
+  // are plain bounds, refuted without one).
   const char* kQuery =
-      "SELECT O FROM Object_in_Room O "
-      "WHERE O.location[L] and L(x, y) |= x <= 12";
+      "SELECT DSK FROM Desk DSK "
+      "WHERE DSK.extent[E] and E(w, z) |= w + z <= 6";
   EvalOptions governed;
   governed.threads = 1;
   governed.max_pivots = 1;
