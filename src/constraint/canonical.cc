@@ -133,24 +133,9 @@ Result<Conjunction> Canonical::Simplify(const Conjunction& c,
   if (level < CanonicalLevel::kCheap) {
     return SimplifyConjunctionUncached(c, level);
   }
-  SolverCache& cache = SolverCache::Global();
-  // Fail fast on a recorded budget trip for this key before paying for
-  // the LP-bearing simplification again.
-  if (std::optional<Status> doomed = cache.LookupCanonicalTombstone(c, level)) {
-    return *doomed;
-  }
-  if (std::optional<Conjunction> cached = cache.LookupCanonical(c, level)) {
-    return *cached;
-  }
-  Result<Conjunction> out = SimplifyConjunctionUncached(c, level);
-  if (!out.ok()) {
-    if (out.status().IsResourceExhausted()) {
-      cache.StoreCanonicalTombstone(c, level);
-    }
-    return out.status();
-  }
-  cache.StoreCanonical(c, level, *out);
-  return std::move(out).value();
+  return SolverCache::Global().Memoize<Conjunction>(
+      SolverCache::Question::Simplify(c, level),
+      [&] { return SimplifyConjunctionUncached(c, level); });
 }
 
 Result<Dnf> Canonical::Simplify(const Dnf& d, CanonicalLevel level) {

@@ -39,49 +39,29 @@ Result<bool> Entailment::ConjunctionEntails(const Conjunction& lhs,
       obs::Registry::Global().GetHistogram("entailment.check");
   obs::ScopedHistogramTimer scoped_timer(check_hist);
   // The DPLL recursion below checks the token through every
-  // Simplex::IsSatisfiable call; a trip propagates out as an error before
-  // the verdict reaches StoreEntails.
+  // Simplex::IsSatisfiable call; a trip propagates out as an error, so it
+  // is never memoized as a verdict.
   LYRIC_RETURN_NOT_OK(exec::CheckCancellation("entailment.entails"));
-  SolverCache& cache = SolverCache::Global();
-  // Fail fast on a recorded budget trip for this entailment question.
-  if (std::optional<Status> doomed = cache.LookupEntailsTombstone(lhs, rhs)) {
-    return *doomed;
-  }
-  if (std::optional<bool> cached = cache.LookupEntails(lhs, rhs)) {
-    return *cached;
-  }
-  // lhs |= D1 or ... or Dk  iff  lhs and not(D1) and ... and not(Dk) unsat.
-  std::vector<Clause> clauses;
-  clauses.reserve(rhs.size());
-  bool holds;
-  bool trivially_true = false;
-  for (const Conjunction& d : rhs.disjuncts()) {
-    if (d.IsTrue()) {
-      trivially_true = true;  // rhs contains TRUE.
-      break;
-    }
-    Clause clause;
-    for (const LinearConstraint& atom : d.atoms()) {
-      for (const LinearConstraint& neg : atom.Negate()) {
-        clause.push_back(neg);
-      }
-    }
-    clauses.push_back(std::move(clause));
-  }
-  if (trivially_true) {
-    holds = true;
-  } else {
-    Result<bool> counterexample = SatWithClauses(lhs, clauses, 0);
-    if (!counterexample.ok()) {
-      if (counterexample.status().IsResourceExhausted()) {
-        cache.StoreEntailsTombstone(lhs, rhs);
-      }
-      return counterexample.status();
-    }
-    holds = !*counterexample;
-  }
-  cache.StoreEntails(lhs, rhs, holds);
-  return holds;
+  return SolverCache::Global().Memoize<bool>(
+      SolverCache::Question::Entails(lhs, rhs), [&]() -> Result<bool> {
+        // lhs |= D1 or ... or Dk  iff  lhs and not(D1) and ... and not(Dk)
+        // is unsat.
+        std::vector<Clause> clauses;
+        clauses.reserve(rhs.size());
+        for (const Conjunction& d : rhs.disjuncts()) {
+          if (d.IsTrue()) return true;  // rhs contains TRUE.
+          Clause clause;
+          for (const LinearConstraint& atom : d.atoms()) {
+            for (const LinearConstraint& neg : atom.Negate()) {
+              clause.push_back(neg);
+            }
+          }
+          clauses.push_back(std::move(clause));
+        }
+        LYRIC_ASSIGN_OR_RETURN(bool counterexample,
+                               SatWithClauses(lhs, clauses, 0));
+        return !counterexample;
+      });
 }
 
 Result<bool> Entailment::Entails(const Dnf& lhs, const Dnf& rhs) {

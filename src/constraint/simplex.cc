@@ -71,9 +71,10 @@ obs::Histogram& SolveHistogram() {
 // keeps its basic variable as a combination of the non-basic ones.
 //
 // One tableau is one LP: Check() finds a point of the atoms (disequalities
-// aside); Close() then drops δ, and Optimize() runs the primal bounded
-// simplex over the closure from that feasible basis. Both pick variables
-// by Bland's rule (smallest index first), so neither cycles.
+// aside), and Optimize() runs the primal bounded simplex from that
+// feasible basis, over the δ-rational atoms or, after Close() drops δ,
+// over their closure. Both pick variables by Bland's rule (smallest index
+// first), so neither cycles.
 class Tableau {
  public:
   // Builds the tableau of the =, <= and < atoms of `c`; `objectives` get
@@ -198,10 +199,10 @@ class Tableau {
     }
   }
 
-  // Maximizes (or minimizes) objective `i` over the closure, starting from
-  // the feasible point Close() left. kUnbounded leaves the tableau at a
-  // feasible point where the objective is >= 1 (<= -1 when minimizing);
-  // a governor trip returns kInfeasible.
+  // Maximizes (or minimizes) objective `i` from the current feasible
+  // point, lexicographically on δ-rationals unless Close() dropped δ.
+  // kUnbounded leaves the tableau at a feasible point where the objective
+  // is >= 1 (<= -1 when minimizing); a governor trip returns kInfeasible.
   LpStatus Optimize(size_t i, bool maximize) {
     size_t row = row_of_[objective_vars_[i]];
     for (size_t iteration = 0;; ++iteration) {
@@ -252,9 +253,14 @@ class Tableau {
     }
   }
 
-  // The current value of objective `i`, constant included.
+  // The current value of objective `i`, constant included, and whether
+  // it carries no δ-part. At a δ-rational optimum the δ-part is zero iff
+  // a point satisfying the strict atoms strictly reaches the supremum.
   Rational Value(size_t i) const {
     return value_[objective_vars_[i]].c + objective_constants_[i];
+  }
+  bool ValueIsReal(size_t i) const {
+    return value_[objective_vars_[i]].k.IsZero();
   }
 
   // The current point, with δ instantiated small enough that every bound
@@ -392,41 +398,35 @@ bool ClosureEntailsZero(Tableau* t, size_t i) {
   return true;
 }
 
+// Decides `c` on one tableau. A governor trip may leave a bogus verdict.
+bool Satisfiable(const Conjunction& c) {
+  std::vector<LinearExpr> diseqs = DisequalityExprs(c);
+  Tableau t(c, diseqs);
+  if (!t.Check()) return false;
+  // A nonempty convex set lies inside a finite union of hyperplanes iff
+  // it lies inside one of them, so the disequalities can be checked one
+  // at a time against the closure.
+  t.Close();
+  for (size_t i = 0; i < diseqs.size(); ++i) {
+    if (ClosureEntailsZero(&t, i)) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 Result<bool> Simplex::IsSatisfiable(const Conjunction& c) {
   LYRIC_OBS_COUNT("simplex.calls.is_satisfiable");
   LYRIC_RETURN_NOT_OK(exec::CheckCancellation("simplex.is_satisfiable"));
-  SolverCache& cache = SolverCache::Global();
-  // A recorded budget trip for this key fails the query fast (replaying
-  // the original trip) instead of re-burning the budget on a doomed solve.
-  if (std::optional<Status> doomed = cache.LookupSatTombstone(c)) {
-    return *doomed;
-  }
-  if (std::optional<bool> cached = cache.LookupSat(c)) return *cached;
-  bool sat = [&] {
-    std::vector<LinearExpr> diseqs = DisequalityExprs(c);
-    Tableau t(c, diseqs);
-    if (!t.Check()) return false;
-    // A nonempty convex set lies inside a finite union of hyperplanes iff
-    // it lies inside one of them, so the disequalities can be checked one
-    // at a time against the closure.
-    t.Close();
-    for (size_t i = 0; i < diseqs.size(); ++i) {
-      if (ClosureEntailsZero(&t, i)) return false;
-    }
-    return true;
-  }();
-  // A tripped run may have bailed mid-solve: report the trip (tombstoning
-  // budget trips so repeat runs fail fast) and never store the (possibly
-  // bogus) verdict.
-  if (Status st = exec::CheckCancellation("simplex.is_satisfiable");
-      !st.ok()) {
-    if (st.IsResourceExhausted()) cache.StoreSatTombstone(c);
-    return st;
-  }
-  cache.StoreSat(c, sat);
-  return sat;
+  return SolverCache::Global().Memoize<bool>(
+      SolverCache::Question::Sat(c), [&]() -> Result<bool> {
+        bool sat = Satisfiable(c);
+        // A tripped run may have bailed mid-solve: report the trip, never
+        // the (possibly bogus) verdict.
+        LYRIC_RETURN_NOT_OK(
+            exec::CheckCancellation("simplex.is_satisfiable"));
+        return sat;
+      });
 }
 
 Result<std::optional<Assignment>> Simplex::FindPoint(const Conjunction& c) {
@@ -507,13 +507,15 @@ Result<LpSolution> Simplex::Maximize(const LinearExpr& objective,
   LYRIC_OBS_COUNT("simplex.calls.maximize");
   LYRIC_RETURN_NOT_OK(exec::CheckCancellation("simplex.maximize"));
   LpSolution out;
-  // A closed system (no strict atoms, no disequalities) needs exactly one
-  // LP, and its optimum is always attained.
-  bool closed = std::none_of(
-      c.atoms().begin(), c.atoms().end(), [](const LinearConstraint& a) {
-        return a.IsStrict() || a.IsDisequality();
-      });
-  if (!closed) {
+  // Without disequalities one LP decides everything: Check() decides
+  // satisfiability on δ-rationals, Optimize() finds the supremum from that
+  // basis, and its δ-part says whether the open set attains it.
+  // Disequalities are not tableau rows, so they need a satisfiability
+  // check first and a point on the optimal face afterwards.
+  bool diseqs = std::any_of(
+      c.atoms().begin(), c.atoms().end(),
+      [](const LinearConstraint& a) { return a.IsDisequality(); });
+  if (diseqs) {
     LYRIC_ASSIGN_OR_RETURN(bool sat, IsSatisfiable(c));
     if (!sat) {
       out.status = LpStatus::kInfeasible;
@@ -527,25 +529,24 @@ Result<LpSolution> Simplex::Maximize(const LinearExpr& objective,
     Tableau t(c, {objective});
     feasible = t.Check();
     if (feasible) {
-      t.Close();
+      if (diseqs) t.Close();
       out.status = t.Optimize(0, true);
       if (out.status == LpStatus::kOptimal) {
         out.value = t.Value(0);
+        out.attained = !diseqs && t.ValueIsReal(0);
+        // A supremum that is not attained gets a point of the closure.
+        if (!out.attained) t.Close();
         out.point = t.Point();
       }
     }
   }
   LYRIC_RETURN_NOT_OK(exec::CheckCancellation("simplex.maximize"));
   if (!feasible) {
-    if (!closed) return Status::Internal("closure infeasible after sat check");
+    if (diseqs) return Status::Internal("closure infeasible after sat check");
     out.status = LpStatus::kInfeasible;
     return out;
   }
-  if (out.status != LpStatus::kOptimal) return out;
-  if (closed) {
-    out.attained = true;
-    return out;
-  }
+  if (out.status != LpStatus::kOptimal || !diseqs) return out;
   // Attained iff the original set meets the optimal face.
   Conjunction on_face = c;
   on_face.Add(LinearConstraint(objective - LinearExpr::Constant(out.value),

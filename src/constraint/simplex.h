@@ -15,9 +15,11 @@
 // each atom bounds its row's slack variable (or its variable, when it has
 // one). Strict inequalities are exact via δ-rationals (x < b is
 // x <= b - δ for an infinitesimal δ > 0); optimization runs the primal
-// bounded simplex over the closure from the feasible basis. Disequalities
-// use the convexity argument (a polyhedron is inside a finite union of
-// hyperplanes iff it is inside one of them).
+// bounded simplex from the feasible basis, and the optimum's δ-part says
+// whether an open set attains its supremum, so Maximize is one LP unless
+// disequalities are present. Disequalities use the convexity argument (a
+// polyhedron is inside a finite union of hyperplanes iff it is inside one
+// of them).
 
 #ifndef LYRIC_CONSTRAINT_SIMPLEX_H_
 #define LYRIC_CONSTRAINT_SIMPLEX_H_

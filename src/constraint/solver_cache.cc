@@ -1,11 +1,13 @@
 #include "constraint/solver_cache.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "util/fault.h"
+#include "util/string_util.h"
 
 namespace lyric {
 
@@ -20,15 +22,6 @@ bool CacheFault() {
 
 size_t HashCombine(size_t seed, size_t value) {
   return seed ^ (value + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2));
-}
-
-size_t EnvCapacity() {
-  const char* env = std::getenv("LYRIC_CACHE_CAPACITY");
-  if (env == nullptr || *env == '\0') return 4096;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env) return 4096;
-  return static_cast<size_t>(v);
 }
 
 }  // namespace
@@ -52,32 +45,28 @@ std::string SolverCache::Stats::ToString() const {
 }
 
 SolverCache& SolverCache::Global() {
-  static SolverCache* cache = new SolverCache(EnvCapacity());
+  static SolverCache* cache = new SolverCache(
+      static_cast<size_t>(EnvUint64("LYRIC_CACHE_CAPACITY").value_or(4096)));
   return *cache;
 }
 
 SolverCache::SolverCache(size_t capacity) : capacity_(capacity) {}
 
-bool SolverCache::Key::operator==(const Key& o) const {
-  if (kind != o.kind) return false;
-  if (kind == Kind::kCanonical && level != o.level) return false;
-  if (!(lhs == o.lhs)) return false;
-  if (kind == Kind::kEntails && !(rhs == o.rhs)) return false;
+bool SolverCache::Entry::Answers(const Question& q) const {
+  if (kind != q.kind) return false;
+  if (kind == Kind::kCanonical && level != q.level) return false;
+  if (!(lhs == q.lhs)) return false;
+  if (kind == Kind::kEntails && !(rhs == *q.rhs)) return false;
   return true;
 }
 
-size_t SolverCache::Key::Hash() const {
-  size_t h = static_cast<size_t>(kind) * 0x2545f4914f6cdd1dull;
-  if (kind == Kind::kCanonical) {
-    h = HashCombine(h, static_cast<size_t>(level));
+size_t SolverCache::BucketHash(const Question& q) const {
+  size_t h = static_cast<size_t>(q.kind) * 0x2545f4914f6cdd1dull;
+  if (q.kind == Kind::kCanonical) {
+    h = HashCombine(h, static_cast<size_t>(q.level));
   }
-  h = HashCombine(h, lhs.Hash());
-  if (kind == Kind::kEntails) h = HashCombine(h, rhs.Hash());
-  return h;
-}
-
-size_t SolverCache::BucketHash(const Key& key) const {
-  size_t h = key.Hash();
+  h = HashCombine(h, q.lhs.Hash());
+  if (q.kind == Kind::kEntails) h = HashCombine(h, q.rhs->Hash());
   if (hash_override_) h = hash_override_(h);
   return h;
 }
@@ -100,13 +89,7 @@ void SolverCache::set_capacity(size_t capacity) {
   size_t per = PerShardCapacity();
   for (Shard& shard : shards_) {
     sync::MutexLock lock(shard.mu);
-    while (shard.lru.size() > per) {
-      auto last = std::prev(shard.lru.end());
-      AccountErase(*last);
-      EraseFromIndexLocked(shard, last);
-      shard.lru.erase(last);
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-    }
+    EvictLocked(shard, per);
   }
   PublishGauges();
 }
@@ -127,15 +110,25 @@ size_t SolverCache::ApproxEntryBytes(const Entry& entry) {
   // Per-atom footprint is dominated by the LinearExpr term vector and two
   // arbitrary-precision rationals; 64 bytes is a workable flat estimate.
   constexpr size_t kPerAtom = 64;
-  size_t atoms = entry.key.lhs.size() + entry.canonical.size();
-  for (const Conjunction& d : entry.key.rhs.disjuncts()) atoms += d.size();
-  return sizeof(Entry) + atoms * kPerAtom + entry.tomb_site.size();
+  size_t atoms = entry.lhs.size();
+  for (const Conjunction& d : entry.rhs.disjuncts()) atoms += d.size();
+  size_t extra = 0;
+  if (const auto* canonical = std::get_if<Conjunction>(&entry.payload)) {
+    atoms += canonical->size();
+  } else if (const auto* tomb = std::get_if<Tombstone>(&entry.payload)) {
+    extra = tomb->site.size();
+  }
+  return sizeof(Entry) + atoms * kPerAtom + extra;
 }
 
-void SolverCache::AccountErase(const Entry& entry) {
-  entries_.fetch_sub(1, std::memory_order_relaxed);
-  if (entry.tombstone) tombstones_.fetch_sub(1, std::memory_order_relaxed);
-  approx_bytes_.fetch_sub(ApproxEntryBytes(entry),
+void SolverCache::Account(const Entry& entry, int sign) {
+  // Unsigned wrap-around: adding static_cast<size_t>(-1) * n subtracts n.
+  const size_t unit = static_cast<size_t>(static_cast<ptrdiff_t>(sign));
+  entries_.fetch_add(unit, std::memory_order_relaxed);
+  if (std::holds_alternative<Tombstone>(entry.payload)) {
+    tombstones_.fetch_add(unit, std::memory_order_relaxed);
+  }
+  approx_bytes_.fetch_add(unit * ApproxEntryBytes(entry),
                           std::memory_order_relaxed);
 }
 
@@ -163,11 +156,9 @@ SolverCache::Stats SolverCache::stats() const {
   out.hits = hits_.load(std::memory_order_relaxed);
   out.misses = misses_.load(std::memory_order_relaxed);
   out.evictions = evictions_.load(std::memory_order_relaxed);
+  out.tombstone_hits = tombstone_hits_.load(std::memory_order_relaxed);
+  out.size = entries_.load(std::memory_order_relaxed);
   out.capacity = capacity();
-  for (const Shard& shard : shards_) {
-    sync::MutexLock lock(shard.mu);
-    out.size += shard.lru.size();
-  }
   return out;
 }
 
@@ -177,28 +168,28 @@ void SolverCache::SetHashOverrideForTesting(
   hash_override_ = std::move(fn);
 }
 
-void SolverCache::EraseFromIndexLocked(Shard& shard,
-                                       std::list<Entry>::iterator it) {
-  auto bucket = shard.index.find(it->hash);
-  if (bucket == shard.index.end()) return;
-  auto& chain = bucket->second;
-  for (size_t i = 0; i < chain.size(); ++i) {
-    if (chain[i] == it) {
-      chain.erase(chain.begin() + static_cast<std::ptrdiff_t>(i));
-      break;
-    }
+void SolverCache::EvictLocked(Shard& shard, size_t per) {
+  while (shard.lru.size() > per) {
+    auto last = std::prev(shard.lru.end());
+    Account(*last, -1);
+    auto bucket = shard.index.find(last->hash);
+    std::vector<std::list<Entry>::iterator>& chain = bucket->second;
+    chain.erase(std::find(chain.begin(), chain.end(), last));
+    if (chain.empty()) shard.index.erase(bucket);
+    shard.lru.erase(last);
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+    LYRIC_OBS_COUNT("solver_cache.evictions");
   }
-  if (chain.empty()) shard.index.erase(bucket);
 }
 
-SolverCache::Entry* SolverCache::FindLocked(Shard& shard, const Key& key,
+SolverCache::Entry* SolverCache::FindLocked(Shard& shard, const Question& q,
                                             size_t hash) {
   auto bucket = shard.index.find(hash);
   if (bucket == shard.index.end()) return nullptr;
   for (auto it : bucket->second) {
     // Structural equality guards against hash collisions: an equal hash
     // with a different formula must never serve a cached verdict.
-    if (it->key == key) {
+    if (it->Answers(q)) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it);
       return &*it;
     }
@@ -206,65 +197,54 @@ SolverCache::Entry* SolverCache::FindLocked(Shard& shard, const Key& key,
   return nullptr;
 }
 
-void SolverCache::StoreEntry(Entry entry) {
-  if (!enabled()) return;
-  Shard& shard = ShardFor(entry.hash);
-  size_t per = PerShardCapacity();
-  {
-    sync::MutexLock lock(shard.mu);
-    if (Entry* existing = FindLocked(shard, entry.key, entry.hash)) {
-      AccountErase(*existing);
-      entries_.fetch_add(1, std::memory_order_relaxed);
-      if (entry.tombstone) {
-        tombstones_.fetch_add(1, std::memory_order_relaxed);
-      }
-      approx_bytes_.fetch_add(ApproxEntryBytes(entry),
-                              std::memory_order_relaxed);
-      *existing = std::move(entry);
-      PublishGauges();
-      return;
-    }
-    entries_.fetch_add(1, std::memory_order_relaxed);
-    if (entry.tombstone) tombstones_.fetch_add(1, std::memory_order_relaxed);
-    approx_bytes_.fetch_add(ApproxEntryBytes(entry),
-                            std::memory_order_relaxed);
-    shard.lru.push_front(std::move(entry));
-    shard.index[shard.lru.front().hash].push_back(shard.lru.begin());
-    while (shard.lru.size() > per) {
-      auto last = std::prev(shard.lru.end());
-      AccountErase(*last);
-      EraseFromIndexLocked(shard, last);
-      shard.lru.erase(last);
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-      LYRIC_OBS_COUNT("solver_cache.evictions");
-    }
-  }
-  PublishGauges();
-}
-
-std::optional<Status> SolverCache::LookupTombstone(const Key& key) {
-  if (!enabled() || CacheFault()) return std::nullopt;
-  // Ungoverned runs never fail fast — they are entitled to the full
-  // (unbounded) computation and will overwrite the tombstone on success.
-  exec::CancellationToken* token = exec::GovernorScope::Current();
-  if (token == nullptr) return std::nullopt;
-  size_t hash = BucketHash(key);
+template <class T>
+std::optional<Result<T>> SolverCache::Probe(const Question& q, size_t hash) {
+  if (CacheFault()) return std::nullopt;
   Shard& shard = ShardFor(hash);
   sync::MutexLock lock(shard.mu);
-  Entry* e = FindLocked(shard, key, hash);
-  if (e == nullptr || !e->tombstone) return std::nullopt;
-  // Only budgets at or below the one that tripped are doomed; a larger
-  // budget (or an unlimited one) must genuinely retry the computation.
-  std::optional<uint64_t> limit = token->LimitFor(e->tomb_kind);
-  if (!limit.has_value() || *limit > e->tomb_limit) return std::nullopt;
-  token->ForceTrip(e->tomb_kind, e->tomb_site.c_str());
-  tombstone_hits_.fetch_add(1, std::memory_order_relaxed);
-  LYRIC_OBS_COUNT("cache.tombstone.hit");
-  return token->ToStatus();
+  if (Entry* e = FindLocked(shard, q, hash)) {
+    if (const T* answer = std::get_if<T>(&e->payload)) {
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      LYRIC_OBS_COUNT("solver_cache.hits");
+      switch (q.kind) {
+        case Kind::kSat:
+          LYRIC_OBS_COUNT("solver_cache.sat_hits");
+          break;
+        case Kind::kCanonical:
+          LYRIC_OBS_COUNT("solver_cache.canonical_hits");
+          break;
+        case Kind::kEntails:
+          LYRIC_OBS_COUNT("solver_cache.entailment_hits");
+          break;
+      }
+      return Result<T>(*answer);
+    }
+    // A tombstone serves governed runs only: ungoverned ones are entitled
+    // to the full (unbounded) computation. Only budgets at or below the
+    // one that tripped are doomed; a larger (or unlimited) one retries.
+    const Tombstone* tomb = std::get_if<Tombstone>(&e->payload);
+    exec::CancellationToken* token = exec::GovernorScope::Current();
+    if (tomb != nullptr && token != nullptr) {
+      std::optional<uint64_t> limit = token->LimitFor(tomb->kind);
+      if (limit.has_value() && *limit <= tomb->limit) {
+        token->ForceTrip(tomb->kind, tomb->site.c_str());
+        tombstone_hits_.fetch_add(1, std::memory_order_relaxed);
+        LYRIC_OBS_COUNT("cache.tombstone.hit");
+        return Result<T>(token->ToStatus());
+      }
+    }
+  }
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  LYRIC_OBS_COUNT("solver_cache.misses");
+  return std::nullopt;
 }
 
-void SolverCache::StoreTombstone(Key key) {
-  if (!enabled() || CacheFault()) return;
+template std::optional<Result<bool>> SolverCache::Probe<bool>(const Question&,
+                                                              size_t);
+template std::optional<Result<Conjunction>> SolverCache::Probe<Conjunction>(
+    const Question&, size_t);
+
+void SolverCache::StoreTombstone(const Question& q, size_t hash) {
   exec::CancellationToken* token = exec::GovernorScope::Current();
   if (token == nullptr) return;
   const exec::LimitKind kind = token->tripped_kind();
@@ -276,129 +256,31 @@ void SolverCache::StoreTombstone(Key key) {
   }
   std::optional<uint64_t> limit = token->LimitFor(kind);
   if (!limit.has_value()) return;
-  Entry entry;
-  entry.key = std::move(key);
-  entry.hash = BucketHash(entry.key);
-  entry.tombstone = true;
-  entry.tomb_kind = kind;
-  entry.tomb_limit = *limit;
-  entry.tomb_site = token->Report().site;
-  LYRIC_OBS_COUNT("cache.tombstone.stored");
-  StoreEntry(std::move(entry));
-}
-
-std::optional<Status> SolverCache::LookupSatTombstone(const Conjunction& c) {
-  return LookupTombstone(Key{Kind::kSat, CanonicalLevel::kSyntactic, c, Dnf()});
-}
-
-void SolverCache::StoreSatTombstone(const Conjunction& c) {
-  StoreTombstone(Key{Kind::kSat, CanonicalLevel::kSyntactic, c, Dnf()});
-}
-
-std::optional<Status> SolverCache::LookupCanonicalTombstone(
-    const Conjunction& c, CanonicalLevel level) {
-  return LookupTombstone(Key{Kind::kCanonical, level, c, Dnf()});
-}
-
-void SolverCache::StoreCanonicalTombstone(const Conjunction& c,
-                                          CanonicalLevel level) {
-  StoreTombstone(Key{Kind::kCanonical, level, c, Dnf()});
-}
-
-std::optional<Status> SolverCache::LookupEntailsTombstone(
-    const Conjunction& lhs, const Dnf& rhs) {
-  return LookupTombstone(Key{Kind::kEntails, CanonicalLevel::kSyntactic, lhs,
-                             rhs});
-}
-
-void SolverCache::StoreEntailsTombstone(const Conjunction& lhs,
-                                        const Dnf& rhs) {
-  StoreTombstone(Key{Kind::kEntails, CanonicalLevel::kSyntactic, lhs, rhs});
-}
-
-std::optional<bool> SolverCache::LookupSat(const Conjunction& c) {
-  if (!enabled() || CacheFault()) return std::nullopt;
-  Key key{Kind::kSat, CanonicalLevel::kSyntactic, c, Dnf()};
-  size_t hash = BucketHash(key);
-  Shard& shard = ShardFor(hash);
-  sync::MutexLock lock(shard.mu);
-  Entry* e = FindLocked(shard, key, hash);
-  if (e != nullptr && !e->tombstone) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    LYRIC_OBS_COUNT("solver_cache.hits");
-    LYRIC_OBS_COUNT("solver_cache.sat_hits");
-    return e->verdict;
+  if (Store(q, hash, Tombstone{kind, *limit, token->Report().site})) {
+    LYRIC_OBS_COUNT("cache.tombstone.stored");
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  LYRIC_OBS_COUNT("solver_cache.misses");
-  return std::nullopt;
 }
 
-void SolverCache::StoreSat(const Conjunction& c, bool sat) {
-  if (!enabled() || CacheFault()) return;
-  Entry entry;
-  entry.key = Key{Kind::kSat, CanonicalLevel::kSyntactic, c, Dnf()};
-  entry.hash = BucketHash(entry.key);
-  entry.verdict = sat;
-  StoreEntry(std::move(entry));
-}
-
-std::optional<Conjunction> SolverCache::LookupCanonical(
-    const Conjunction& c, CanonicalLevel level) {
-  if (!enabled() || CacheFault()) return std::nullopt;
-  Key key{Kind::kCanonical, level, c, Dnf()};
-  size_t hash = BucketHash(key);
+bool SolverCache::Store(const Question& q, size_t hash, Payload payload) {
+  if (CacheFault()) return false;
   Shard& shard = ShardFor(hash);
-  sync::MutexLock lock(shard.mu);
-  Entry* e = FindLocked(shard, key, hash);
-  if (e != nullptr && !e->tombstone) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    LYRIC_OBS_COUNT("solver_cache.hits");
-    LYRIC_OBS_COUNT("solver_cache.canonical_hits");
-    return e->canonical;
+  {
+    sync::MutexLock lock(shard.mu);
+    if (Entry* existing = FindLocked(shard, q, hash)) {
+      Account(*existing, -1);
+      existing->payload = std::move(payload);
+      Account(*existing, +1);
+    } else {
+      shard.lru.push_front(Entry{q.kind, q.level, q.lhs,
+                                 q.rhs != nullptr ? *q.rhs : Dnf(), hash,
+                                 std::move(payload)});
+      shard.index[hash].push_back(shard.lru.begin());
+      Account(shard.lru.front(), +1);
+      EvictLocked(shard, PerShardCapacity());
+    }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  LYRIC_OBS_COUNT("solver_cache.misses");
-  return std::nullopt;
-}
-
-void SolverCache::StoreCanonical(const Conjunction& c, CanonicalLevel level,
-                                 const Conjunction& result) {
-  if (!enabled() || CacheFault()) return;
-  Entry entry;
-  entry.key = Key{Kind::kCanonical, level, c, Dnf()};
-  entry.hash = BucketHash(entry.key);
-  entry.canonical = result;
-  StoreEntry(std::move(entry));
-}
-
-std::optional<bool> SolverCache::LookupEntails(const Conjunction& lhs,
-                                               const Dnf& rhs) {
-  if (!enabled() || CacheFault()) return std::nullopt;
-  Key key{Kind::kEntails, CanonicalLevel::kSyntactic, lhs, rhs};
-  size_t hash = BucketHash(key);
-  Shard& shard = ShardFor(hash);
-  sync::MutexLock lock(shard.mu);
-  Entry* e = FindLocked(shard, key, hash);
-  if (e != nullptr && !e->tombstone) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    LYRIC_OBS_COUNT("solver_cache.hits");
-    LYRIC_OBS_COUNT("solver_cache.entailment_hits");
-    return e->verdict;
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  LYRIC_OBS_COUNT("solver_cache.misses");
-  return std::nullopt;
-}
-
-void SolverCache::StoreEntails(const Conjunction& lhs, const Dnf& rhs,
-                               bool holds) {
-  if (!enabled() || CacheFault()) return;
-  Entry entry;
-  entry.key = Key{Kind::kEntails, CanonicalLevel::kSyntactic, lhs, rhs};
-  entry.hash = BucketHash(entry.key);
-  entry.verdict = holds;
-  StoreEntry(std::move(entry));
+  PublishGauges();
+  return true;
 }
 
 }  // namespace lyric

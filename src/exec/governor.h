@@ -180,7 +180,7 @@ class CancellationToken {
   std::atomic<uint64_t> bindings_{0};
   std::atomic<uint8_t> tripped_{static_cast<uint8_t>(LimitKind::kNone)};
   // Ranked after the cache shard: tombstone hits ForceTrip under the
-  // shard lock (solver_cache.cc LookupTombstone).
+  // shard lock (solver_cache.cc SolverCache::Probe).
   mutable sync::Mutex site_mu_{sync::LockRank::kGovernor, "governor_site"};
   std::string trip_site_ LYRIC_GUARDED_BY(site_mu_);
 };

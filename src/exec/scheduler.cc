@@ -7,20 +7,12 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/fault.h"
+#include "util/string_util.h"
 
 namespace lyric {
 namespace exec {
 
 namespace {
-
-std::optional<uint64_t> EnvUint64(const char* name) {
-  const char* text = std::getenv(name);
-  if (text == nullptr || *text == '\0') return std::nullopt;
-  char* end = nullptr;
-  unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') return std::nullopt;
-  return static_cast<uint64_t>(value);
-}
 
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;

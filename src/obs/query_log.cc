@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "obs/metrics.h"
+#include "util/string_util.h"
 
 namespace lyric {
 namespace obs {
@@ -80,11 +81,7 @@ uint64_t HashQueryText(const std::string& text) {
 
 uint64_t SlowQueryThresholdMs() {
   static const uint64_t threshold = [] {
-    const char* env = std::getenv("LYRIC_SLOW_MS");
-    if (env == nullptr || *env == '\0') return uint64_t{0};
-    char* end = nullptr;
-    uint64_t v = std::strtoull(env, &end, 10);
-    return (end != env && *end == '\0') ? v : uint64_t{0};
+    return EnvUint64("LYRIC_SLOW_MS").value_or(0);
   }();
   return threshold;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 
 #include "constraint/solver_cache.h"
@@ -18,17 +17,14 @@
 #include "query/formula_builder.h"
 #include "query/parser.h"
 #include "query/path_walker.h"
+#include "util/string_util.h"
 
 namespace lyric {
 
 size_t DefaultEvalThreads() {
   static const size_t threads = [] {
-    const char* env = std::getenv("LYRIC_THREADS");
-    if (env == nullptr || *env == '\0') return size_t{1};
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(env, &end, 10);
-    if (end == env || v == 0) return size_t{1};
-    return static_cast<size_t>(v > 64 ? 64 : v);
+    uint64_t v = EnvUint64("LYRIC_THREADS").value_or(1);
+    return static_cast<size_t>(std::clamp<uint64_t>(v, 1, 64));
   }();
   return threads;
 }
@@ -185,7 +181,7 @@ Result<ResultSet> Evaluator::ExecuteLogged(const std::string* text,
     t_eval_log = EvalLogInfo{};
     active_gauge.Add(1);
   }
-  const SolverCache::Traffic cache_before = SolverCache::Global().traffic();
+  const SolverCache::Stats cache_before = SolverCache::Global().stats();
   const auto start = std::chrono::steady_clock::now();
   uint32_t retries = 0;
 
@@ -235,7 +231,7 @@ Result<ResultSet> Evaluator::ExecuteLogged(const std::string* text,
     r->set_admission(std::move(admission));
   }
 
-  const SolverCache::Traffic cache_after = SolverCache::Global().traffic();
+  const SolverCache::Stats cache_after = SolverCache::Global().stats();
   obs::QueryLogRecord rec;
   rec.query = text != nullptr ? *text : SummarizeAstQuery(*parsed);
   rec.query_hash = obs::HashQueryText(rec.query);

@@ -1,6 +1,8 @@
 #include "util/string_util.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cstdlib>
 
 namespace lyric {
 
@@ -23,6 +25,23 @@ std::string ToLower(const std::string& s) {
   std::string out = s;
   for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return out;
+}
+
+std::optional<uint64_t> ParseUint64(const char* text) {
+  // strtoull alone would skip leading whitespace, accept a sign (wrapping
+  // "-1" to 2^64 - 1) and stop quietly at trailing garbage.
+  if (text == nullptr || !std::isdigit(static_cast<unsigned char>(*text))) {
+    return std::nullopt;
+  }
+  char* end = nullptr;
+  errno = 0;
+  unsigned long long value = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE) return std::nullopt;
+  return static_cast<uint64_t>(value);
+}
+
+std::optional<uint64_t> EnvUint64(const char* name) {
+  return ParseUint64(std::getenv(name));
 }
 
 }  // namespace lyric

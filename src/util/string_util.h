@@ -3,6 +3,8 @@
 #ifndef LYRIC_UTIL_STRING_UTIL_H_
 #define LYRIC_UTIL_STRING_UTIL_H_
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,15 @@ bool StartsWith(const std::string& s, const std::string& prefix);
 
 /// Lower-cases ASCII characters of `s`.
 std::string ToLower(const std::string& s);
+
+/// Parses a decimal unsigned integer made of digits only: nullopt for a
+/// null or empty string, a sign, whitespace, trailing characters or a
+/// value past 2^64 - 1.
+std::optional<uint64_t> ParseUint64(const char* text);
+
+/// ParseUint64 of environment variable `name`; nullopt when it is unset
+/// or malformed, so callers fall back to their default.
+std::optional<uint64_t> EnvUint64(const char* name);
 
 }  // namespace lyric
 

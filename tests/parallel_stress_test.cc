@@ -141,9 +141,14 @@ TEST_F(ParallelStressTest, RawCacheThrash) {
         Conjunction c;
         c.Add(LinearConstraint::Le(LinearExpr::Var(x),
                                    LinearExpr::Constant(Rational(k))));
-        cache.StoreSat(c, k % 2 == 0);
-        std::optional<bool> got = cache.LookupSat(c);
-        if (got.has_value() && *got != (k % 2 == 0)) {
+        const SolverCache::Question q = SolverCache::Question::Sat(c);
+        Result<bool> stored =
+            cache.Memoize<bool>(q, [k] { return Result<bool>(k % 2 == 0); });
+        // The second ask computes nothing storable: only a cached entry
+        // can answer it, and that entry must be this key's.
+        Result<bool> got = cache.Memoize<bool>(
+            q, [] { return Result<bool>(Status::Internal("evicted")); });
+        if (*stored != (k % 2 == 0) || (got.ok() && *got != (k % 2 == 0))) {
           wrong.fetch_add(1, std::memory_order_relaxed);
         }
         if (i % 97 == 0) cache.set_capacity(16 + (i % 3) * 16);

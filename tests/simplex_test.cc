@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "constraint/solver_cache.h"
+#include "obs/metrics.h"
+
 namespace lyric {
 namespace {
 
@@ -161,6 +164,37 @@ TEST_F(SimplexTest, SupremumNotAttainedOnOpenSet) {
   EXPECT_EQ(sol.status, LpStatus::kOptimal);
   EXPECT_EQ(sol.value, Rational(1));
   EXPECT_FALSE(sol.attained);
+}
+
+TEST_F(SimplexTest, StrictMaximizeRunsOneLp) {
+  // Without disequalities the δ-part of one optimum decides attainment,
+  // so an open system costs one LP like its closed twin.
+  SolverCache::Global().Clear();
+  obs::Counter& lps = obs::Registry::Global().GetCounter("simplex.lp_solves");
+  Conjunction open;
+  open.Add(LinearConstraint::Gt(X(), C(0)));
+  open.Add(LinearConstraint::Lt(X() + Y(), C(4)));
+  open.Add(LinearConstraint::Ge(Y(), C(0)));
+  uint64_t before = lps.value();
+  auto sup = Simplex::Maximize(X(), open).value();
+  EXPECT_EQ(lps.value() - before, 1u);
+  EXPECT_EQ(sup.status, LpStatus::kOptimal);
+  EXPECT_EQ(sup.value, Rational(4));
+  EXPECT_FALSE(sup.attained);
+  // Not attained: the point is a maximizer of the closure.
+  EXPECT_EQ(sup.point.at(x_), Rational(4));
+  EXPECT_EQ(sup.point.at(y_), Rational(0));
+
+  // max y with y <= 1 added: attained at y = 1 by an interior x.
+  Conjunction capped = open;
+  capped.Add(LinearConstraint::Le(Y(), C(1)));
+  before = lps.value();
+  auto max = Simplex::Maximize(Y(), capped).value();
+  EXPECT_EQ(lps.value() - before, 1u);
+  EXPECT_EQ(max.value, Rational(1));
+  EXPECT_TRUE(max.attained);
+  EXPECT_EQ(max.point.at(y_), Rational(1));
+  EXPECT_TRUE(capped.Eval(max.point).value());
 }
 
 TEST_F(SimplexTest, RationalOptimum) {

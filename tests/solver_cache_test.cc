@@ -5,16 +5,21 @@
 //   1. cached-vs-fresh verdicts agree (sat, canonical, entailment),
 //   2. eviction at tiny capacities never changes any answer,
 //   3. forced hash collisions fall back to structural equality.
+//
+// The rest pin SolverCache::Memoize itself: key spaces, capacity,
+// stats, and one hash per question.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "constraint/canonical.h"
 #include "constraint/entailment.h"
 #include "constraint/simplex.h"
 #include "constraint/solver_cache.h"
+#include "exec/governor.h"
 
 namespace lyric {
 namespace {
@@ -60,6 +65,27 @@ Conjunction RandomConjunction(Lcg& rng) {
     }
   }
   return c;
+}
+
+using Question = SolverCache::Question;
+
+// Memoizes `answer` for `q`: stored on a miss, ignored on a hit.
+template <class T>
+void Put(SolverCache& cache, const Question& q, T answer) {
+  ASSERT_TRUE(cache.Memoize<T>(q, [&] { return Result<T>(answer); }).ok());
+}
+
+// The answer `cache` serves for `q`, or nullopt when it has to compute
+// (the compute then fails with a non-budget status, so nothing is stored).
+template <class T>
+std::optional<T> Cached(SolverCache& cache, const Question& q) {
+  bool computed = false;
+  Result<T> served = cache.Memoize<T>(q, [&]() -> Result<T> {
+    computed = true;
+    return Status::Internal("miss");
+  });
+  if (computed || !served.ok()) return std::nullopt;
+  return *served;
 }
 
 // Runs `fn` with the global cache in a known state and restores the
@@ -199,21 +225,20 @@ TEST(SolverCacheProperty, HashCollisionsFallBackToStructuralEquality) {
   for (int i = 0; i < 60; ++i) {
     Conjunction c = RandomConjunction(rng);
     bool sat = Simplex::IsSatisfiable(c).value();
-    // Skip duplicates: StoreSat overwrites an equal key, which is fine,
-    // but the test wants N distinct colliding keys.
+    // Skip duplicates: the test wants N distinct colliding keys.
     bool dup = false;
     for (const Conjunction& seen : inputs) {
       if (seen == c) dup = true;
     }
     if (dup) continue;
-    cache.StoreSat(c, sat);
+    Put(cache, Question::Sat(c), sat);
     inputs.push_back(std::move(c));
     verdicts.push_back(sat);
   }
   ASSERT_GT(inputs.size(), 20u);
 
   for (size_t i = 0; i < inputs.size(); ++i) {
-    std::optional<bool> cached = cache.LookupSat(inputs[i]);
+    std::optional<bool> cached = Cached<bool>(cache, Question::Sat(inputs[i]));
     ASSERT_TRUE(cached.has_value()) << "collision chain lost entry " << i;
     EXPECT_EQ(*cached, verdicts[i]) << "collision returned a foreign verdict";
   }
@@ -223,38 +248,44 @@ TEST(SolverCacheProperty, HashCollisionsFallBackToStructuralEquality) {
   unseen.Add(LinearConstraint::Le(
       LinearExpr::Var(Variable::Intern("collision_probe")),
       LinearExpr::Constant(Rational(123456))));
-  EXPECT_FALSE(cache.LookupSat(unseen).has_value());
+  EXPECT_FALSE(Cached<bool>(cache, Question::Sat(unseen)).has_value());
 
   cache.SetHashOverrideForTesting(nullptr);
 }
 
 // The kinds are distinct key spaces: a sat entry must never answer an
-// entailment lookup for the same conjunction, and canonical entries are
+// entailment question for the same conjunction, and canonical entries are
 // level-specific.
 TEST(SolverCacheProperty, KindsAndLevelsDoNotAlias) {
   SolverCache cache(64);
   Lcg rng(3);
   Conjunction c = RandomConjunction(rng);
+  Dnf rhs(c);
 
-  cache.StoreSat(c, true);
-  EXPECT_FALSE(cache.LookupEntails(c, Dnf(c)).has_value());
-  EXPECT_FALSE(cache.LookupCanonical(c, CanonicalLevel::kCheap).has_value());
+  Put(cache, Question::Sat(c), true);
+  EXPECT_FALSE(Cached<bool>(cache, Question::Entails(c, rhs)).has_value());
+  EXPECT_FALSE(
+      Cached<Conjunction>(cache, Question::Simplify(c, CanonicalLevel::kCheap))
+          .has_value());
 
   Conjunction simplified;  // TRUE — visibly different from c
-  cache.StoreCanonical(c, CanonicalLevel::kCheap, simplified);
-  EXPECT_FALSE(
-      cache.LookupCanonical(c, CanonicalLevel::kRedundancy).has_value());
-  ASSERT_TRUE(cache.LookupCanonical(c, CanonicalLevel::kCheap).has_value());
-  EXPECT_EQ(*cache.LookupCanonical(c, CanonicalLevel::kCheap), simplified);
+  Put(cache, Question::Simplify(c, CanonicalLevel::kCheap), simplified);
+  EXPECT_FALSE(Cached<Conjunction>(
+                   cache, Question::Simplify(c, CanonicalLevel::kRedundancy))
+                   .has_value());
+  std::optional<Conjunction> cheap = Cached<Conjunction>(
+      cache, Question::Simplify(c, CanonicalLevel::kCheap));
+  ASSERT_TRUE(cheap.has_value());
+  EXPECT_EQ(*cheap, simplified);
 }
 
-// Capacity 0 disables the cache: lookups miss, stores drop.
+// Capacity 0 disables the cache: every question computes, nothing stays.
 TEST(SolverCacheProperty, ZeroCapacityDisables) {
   SolverCache cache(0);
   Lcg rng(11);
   Conjunction c = RandomConjunction(rng);
-  cache.StoreSat(c, true);
-  EXPECT_FALSE(cache.LookupSat(c).has_value());
+  Put(cache, Question::Sat(c), true);
+  EXPECT_FALSE(Cached<bool>(cache, Question::Sat(c)).has_value());
   EXPECT_EQ(cache.stats().size, 0u);
 }
 
@@ -272,7 +303,7 @@ TEST(SolverCacheProperty, ShrinkAndClear) {
     }
     if (!dup) inputs.push_back(std::move(c));
   }
-  for (const Conjunction& c : inputs) cache.StoreSat(c, true);
+  for (const Conjunction& c : inputs) Put(cache, Question::Sat(c), true);
   EXPECT_GT(cache.stats().size, 16u);
 
   cache.set_capacity(16);
@@ -289,14 +320,45 @@ TEST(SolverCacheProperty, StatsCountTraffic) {
   SolverCache cache(64);
   Lcg rng(31);
   Conjunction c = RandomConjunction(rng);
-  EXPECT_FALSE(cache.LookupSat(c).has_value());
-  cache.StoreSat(c, false);
-  ASSERT_TRUE(cache.LookupSat(c).has_value());
+  Put(cache, Question::Sat(c), false);
+  EXPECT_EQ(Cached<bool>(cache, Question::Sat(c)), std::optional<bool>(false));
   SolverCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.size, 1u);
   EXPECT_DOUBLE_EQ(stats.HitRate(), 0.5);
   EXPECT_FALSE(stats.ToString().empty());
+}
+
+// A question is hashed exactly once per Memoize, on a miss (which also
+// stores the answer) and on a hit alike, governed or not.
+TEST(SolverCacheProperty, MemoizeHashesEachQuestionOnce) {
+  SolverCache cache(64);
+  size_t hashes = 0;
+  cache.SetHashOverrideForTesting([&hashes](size_t h) {
+    ++hashes;
+    return h;
+  });
+  Lcg rng(41);
+  Conjunction c = RandomConjunction(rng);
+  Dnf rhs(RandomConjunction(rng));
+
+  Put(cache, Question::Sat(c), true);  // miss + store
+  EXPECT_EQ(hashes, 1u);
+  EXPECT_EQ(Cached<bool>(cache, Question::Sat(c)), std::optional<bool>(true));
+  EXPECT_EQ(hashes, 2u);
+
+  exec::GovernorLimits limits;
+  limits.max_pivots = 1000;
+  exec::CancellationToken token(limits);
+  exec::GovernorScope scope(&token);
+  Put(cache, Question::Entails(c, rhs), false);  // governed miss + store
+  EXPECT_EQ(hashes, 3u);
+  EXPECT_EQ(Cached<bool>(cache, Question::Entails(c, rhs)),
+            std::optional<bool>(false));
+  EXPECT_EQ(hashes, 4u);
+
+  cache.SetHashOverrideForTesting(nullptr);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <optional>
+
 #include "util/result.h"
 #include "util/string_util.h"
 
@@ -108,6 +112,32 @@ TEST(StringUtilTest, StartsWith) {
 TEST(StringUtilTest, ToLower) {
   EXPECT_EQ(ToLower("SeLeCt"), "select");
   EXPECT_EQ(ToLower("abc_123"), "abc_123");
+}
+
+// The one parser behind every LYRIC_* integer setting: digits only, so
+// "-1" is not wrapped to 2^64 - 1 (an unbounded cache) and "12abc" is not
+// read as 12.
+TEST(StringUtilTest, ParseUint64RejectsAllButDigits) {
+  EXPECT_EQ(ParseUint64("4096"), std::optional<uint64_t>(4096));
+  EXPECT_EQ(ParseUint64("0"), std::optional<uint64_t>(0));
+  EXPECT_EQ(ParseUint64("18446744073709551615"),
+            std::optional<uint64_t>(UINT64_MAX));
+  EXPECT_FALSE(ParseUint64(nullptr).has_value());
+  EXPECT_FALSE(ParseUint64("").has_value());
+  EXPECT_FALSE(ParseUint64("-1").has_value());
+  EXPECT_FALSE(ParseUint64("+1").has_value());
+  EXPECT_FALSE(ParseUint64(" 1").has_value());
+  EXPECT_FALSE(ParseUint64("12abc").has_value());
+  EXPECT_FALSE(ParseUint64("18446744073709551616").has_value());
+}
+
+TEST(StringUtilTest, EnvUint64ReadsTheEnvironment) {
+  ::setenv("LYRIC_TEST_UINT", "4096", 1);
+  EXPECT_EQ(EnvUint64("LYRIC_TEST_UINT"), std::optional<uint64_t>(4096));
+  ::setenv("LYRIC_TEST_UINT", "-1", 1);
+  EXPECT_FALSE(EnvUint64("LYRIC_TEST_UINT").has_value());
+  ::unsetenv("LYRIC_TEST_UINT");
+  EXPECT_FALSE(EnvUint64("LYRIC_TEST_UINT").has_value());
 }
 
 }  // namespace

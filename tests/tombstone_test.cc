@@ -47,34 +47,76 @@ class TombstoneTest : public ::testing::Test {
 
 // -- Unit behavior against the cache API -----------------------------------
 
+// A governed Memoize of `c` whose computation trips `kind` under `limits`;
+// returns the trip status it reported.
+Status TripOn(SolverCache& cache, const Conjunction& c,
+              const GovernorLimits& limits, LimitKind kind) {
+  CancellationToken token(limits);
+  GovernorScope scope(&token);
+  Result<bool> tripped = cache.Memoize<bool>(
+      SolverCache::Question::Sat(c), [&]() -> Result<bool> {
+        token.ForceTrip(kind, "simplex.solve");
+        return token.ToStatus();
+      });
+  return tripped.status();
+}
+
+// Memoizes `c` under the ambient governor (if any) with a computation
+// that answers `verdict` and counts its runs in `*computed`.
+Result<bool> Ask(SolverCache& cache, const Conjunction& c, bool verdict,
+                 int* computed) {
+  return cache.Memoize<bool>(SolverCache::Question::Sat(c), [&] {
+    ++*computed;
+    return Result<bool>(verdict);
+  });
+}
+
 TEST_F(TombstoneTest, StoredTombstoneReplaysTheOriginalTrip) {
   SolverCache& cache = SolverCache::Global();
   Conjunction doomed = IntervalConjunction(0, 10);
 
   GovernorLimits limits;
   limits.max_pivots = 32;
-  std::string tripped_message;
-  {
-    CancellationToken token(limits);
-    GovernorScope scope(&token);
-    token.ForceTrip(LimitKind::kPivots, "simplex.solve");
-    tripped_message = token.ToStatus().message();
-    cache.StoreSatTombstone(doomed);
-  }
+  Status tripped = TripOn(cache, doomed, limits, LimitKind::kPivots);
+  ASSERT_TRUE(tripped.IsResourceExhausted()) << tripped;
 
   // A fresh governed run with the same budget is doomed before solving.
   CancellationToken token(limits);
   GovernorScope scope(&token);
   uint64_t before = TombstoneHits();
-  std::optional<Status> hit = cache.LookupSatTombstone(doomed);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_TRUE(hit->IsResourceExhausted()) << *hit;
-  EXPECT_EQ(hit->message(), tripped_message);  // Byte-identical replay.
+  uint64_t stats_before = cache.stats().tombstone_hits;
+  int computed = 0;
+  Result<bool> hit = Ask(cache, doomed, true, &computed);
+  ASSERT_FALSE(hit.ok());
+  EXPECT_EQ(computed, 0);
+  EXPECT_TRUE(hit.status().IsResourceExhausted()) << hit.status();
+  EXPECT_EQ(hit.status().message(), tripped.message());  // Byte-identical.
   EXPECT_EQ(TombstoneHits(), before + 1);
+  EXPECT_EQ(cache.stats().tombstone_hits, stats_before + 1);
   // The serving token is now genuinely tripped (sticky), as if it had
   // done the doomed work itself.
   EXPECT_TRUE(token.stopped());
   EXPECT_EQ(token.tripped_kind(), LimitKind::kPivots);
+}
+
+TEST_F(TombstoneTest, HitsAndDoomedTombstonesNeverCompute) {
+  SolverCache& cache = SolverCache::Global();
+  Conjunction known = IntervalConjunction(0, 10);
+  Conjunction doomed = IntervalConjunction(0, 20);
+  int computed = 0;
+  ASSERT_TRUE(Ask(cache, known, true, &computed).ok());
+  ASSERT_EQ(computed, 1);
+  GovernorLimits limits;
+  limits.max_pivots = 32;
+  TripOn(cache, doomed, limits, LimitKind::kPivots);
+
+  CancellationToken token(limits);
+  GovernorScope scope(&token);
+  Result<bool> hit = Ask(cache, known, false, &computed);
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  EXPECT_TRUE(*hit);  // The stored verdict, not the computation's.
+  EXPECT_FALSE(Ask(cache, doomed, true, &computed).ok());
+  EXPECT_EQ(computed, 1);
 }
 
 TEST_F(TombstoneTest, LargerBudgetAndUngovernedLookupsIgnoreTombstones) {
@@ -82,19 +124,26 @@ TEST_F(TombstoneTest, LargerBudgetAndUngovernedLookupsIgnoreTombstones) {
   Conjunction doomed = IntervalConjunction(0, 10);
   GovernorLimits limits;
   limits.max_pivots = 32;
-  {
-    CancellationToken token(limits);
-    GovernorScope scope(&token);
-    token.ForceTrip(LimitKind::kPivots, "simplex.solve");
-    cache.StoreSatTombstone(doomed);
-  }
+  int computed = 0;
+  auto expect_recompute = [&] {
+    // Recompute fails on purpose, so the tombstone stays in place for
+    // the next case.
+    Result<bool> r = cache.Memoize<bool>(
+        SolverCache::Question::Sat(doomed), [&]() -> Result<bool> {
+          ++computed;
+          return Status::Internal("recomputed");
+        });
+    EXPECT_EQ(r.status().code(), StatusCode::kInternal) << r.status();
+  };
+  TripOn(cache, doomed, limits, LimitKind::kPivots);
+  const uint64_t hits_before = cache.stats().tombstone_hits;
   {
     // Twice the budget: the tombstone proves nothing — really retry.
     GovernorLimits wider;
     wider.max_pivots = 64;
     CancellationToken token(wider);
     GovernorScope scope(&token);
-    EXPECT_FALSE(cache.LookupSatTombstone(doomed).has_value());
+    expect_recompute();
     EXPECT_FALSE(token.stopped());
   }
   {
@@ -103,12 +152,12 @@ TEST_F(TombstoneTest, LargerBudgetAndUngovernedLookupsIgnoreTombstones) {
     deadline_only.deadline_ms = 60000;
     CancellationToken token(deadline_only);
     GovernorScope scope(&token);
-    EXPECT_FALSE(cache.LookupSatTombstone(doomed).has_value());
+    expect_recompute();
   }
   // Ungoverned: no token, no tombstone service.
-  EXPECT_FALSE(cache.LookupSatTombstone(doomed).has_value());
-  // The tombstone entry also never answers a plain verdict lookup.
-  EXPECT_FALSE(cache.LookupSat(doomed).has_value());
+  expect_recompute();
+  EXPECT_EQ(computed, 3);
+  EXPECT_EQ(cache.stats().tombstone_hits, hits_before);
 }
 
 TEST_F(TombstoneTest, DeadlineTripsAreNeverTombstoned) {
@@ -117,15 +166,26 @@ TEST_F(TombstoneTest, DeadlineTripsAreNeverTombstoned) {
   GovernorLimits limits;
   limits.deadline_ms = 1;
   limits.max_pivots = 32;
+  Status tripped = TripOn(cache, c, limits, LimitKind::kDeadline);
+  EXPECT_EQ(tripped.code(), StatusCode::kDeadlineExceeded) << tripped;
   {
+    // Even a ResourceExhausted answer leaves no tombstone when the
+    // ambient token tripped on the wall clock.
     CancellationToken token(limits);
     GovernorScope scope(&token);
     token.ForceTrip(LimitKind::kDeadline, "simplex.solve");
-    cache.StoreSatTombstone(c);  // Must be a no-op for wall-clock trips.
+    Result<bool> r = cache.Memoize<bool>(
+        SolverCache::Question::Sat(c), [&]() -> Result<bool> {
+          return Status::ResourceExhausted("budget");
+        });
+    EXPECT_FALSE(r.ok());
   }
+  EXPECT_EQ(cache.stats().size, 0u);
   CancellationToken token(limits);
   GovernorScope scope(&token);
-  EXPECT_FALSE(cache.LookupSatTombstone(c).has_value());
+  int computed = 0;
+  EXPECT_TRUE(Ask(cache, c, true, &computed).ok());
+  EXPECT_EQ(computed, 1);
 }
 
 TEST_F(TombstoneTest, SuccessfulRecomputationOverwritesTheTombstone) {
@@ -133,19 +193,19 @@ TEST_F(TombstoneTest, SuccessfulRecomputationOverwritesTheTombstone) {
   Conjunction doomed = IntervalConjunction(0, 10);
   GovernorLimits limits;
   limits.max_pivots = 32;
-  {
-    CancellationToken token(limits);
-    GovernorScope scope(&token);
-    token.ForceTrip(LimitKind::kPivots, "simplex.solve");
-    cache.StoreSatTombstone(doomed);
-  }
-  // A larger budget recomputes and stores the real verdict over the
+  TripOn(cache, doomed, limits, LimitKind::kPivots);
+  // An ungoverned run recomputes and stores the real verdict over the
   // tombstone (shared key).
-  cache.StoreSat(doomed, true);
+  int computed = 0;
+  ASSERT_TRUE(Ask(cache, doomed, true, &computed).ok());
+  EXPECT_EQ(cache.stats().size, 1u);
   CancellationToken token(limits);
   GovernorScope scope(&token);
-  EXPECT_FALSE(cache.LookupSatTombstone(doomed).has_value());
-  EXPECT_EQ(cache.LookupSat(doomed), std::optional<bool>(true));
+  Result<bool> served = Ask(cache, doomed, false, &computed);
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_TRUE(*served);
+  EXPECT_EQ(computed, 1);
+  EXPECT_FALSE(token.stopped());
 }
 
 TEST_F(TombstoneTest, TombstonesEvictLikeNormalEntries) {
@@ -156,19 +216,16 @@ TEST_F(TombstoneTest, TombstonesEvictLikeNormalEntries) {
   Conjunction doomed = IntervalConjunction(0, 10);
   GovernorLimits limits;
   limits.max_pivots = 32;
-  {
-    CancellationToken token(limits);
-    GovernorScope scope(&token);
-    token.ForceTrip(LimitKind::kPivots, "simplex.solve");
-    cache.StoreSatTombstone(doomed);
-  }
+  TripOn(cache, doomed, limits, LimitKind::kPivots);
   // Flood every shard until the tombstone falls off the LRU.
+  int computed = 0;
   for (int i = 0; i < 512; ++i) {
-    cache.StoreSat(IntervalConjunction(-1000 - i, 1000 + i), true);
+    Ask(cache, IntervalConjunction(-1000 - i, 1000 + i), true, &computed);
   }
   CancellationToken token(limits);
   GovernorScope scope(&token);
-  EXPECT_FALSE(cache.LookupSatTombstone(doomed).has_value());
+  EXPECT_TRUE(Ask(cache, doomed, true, &computed).ok());
+  EXPECT_EQ(computed, 513);
   cache.set_capacity(previous);
   cache.Clear();
 }
