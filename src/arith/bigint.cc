@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "util/string_util.h"
+
 namespace lyric {
 
 namespace {
@@ -43,8 +45,7 @@ BigInt BigInt::FromLimbs(bool negative, std::vector<uint32_t> limbs) {
 std::vector<uint32_t> BigInt::ToLimbs() const {
   if (!is_small_) return limbs_;
   std::vector<uint32_t> out;
-  uint64_t mag = small_ < 0 ? ~static_cast<uint64_t>(small_) + 1
-                            : static_cast<uint64_t>(small_);
+  uint64_t mag = SmallMagnitude();
   while (mag != 0) {
     out.push_back(static_cast<uint32_t>(mag & 0xffffffffu));
     mag >>= 32;
@@ -358,18 +359,38 @@ Result<int64_t> BigInt::ToInt64() const {
 size_t BigInt::LimbCount() const {
   if (!is_small_) return limbs_.size();
   if (small_ == 0) return 0;
-  uint64_t mag = small_ < 0 ? ~static_cast<uint64_t>(small_) + 1
-                            : static_cast<uint64_t>(small_);
-  return mag >> 32 ? 2 : 1;
+  return SmallMagnitude() >> 32 ? 2 : 1;
 }
 
 size_t BigInt::Hash() const {
-  // Hash must agree across representations; hash the limb image.
+  // Hash must agree across representations; hash the limb image, which
+  // a small value yields inline (low limb first, as ToLimbs would).
   size_t h = IsNegative() ? 0x9e3779b97f4a7c15ull : 0;
-  for (uint32_t limb : ToLimbs()) {
+  auto mix = [&h](uint32_t limb) {
     h ^= limb + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+  };
+  if (!is_small_) {
+    for (uint32_t limb : limbs_) mix(limb);
+    return h;
+  }
+  for (uint64_t mag = SmallMagnitude(); mag != 0; mag >>= 32) {
+    mix(static_cast<uint32_t>(mag & 0xffffffffu));
   }
   return h;
+}
+
+void BigInt::AppendBytes(std::string* out) const {
+  if (is_small_) {
+    out->push_back(0);
+    const uint64_t bits = static_cast<uint64_t>(small_);
+    AppendVarint((bits << 1) ^ (small_ < 0 ? ~uint64_t{0} : 0), out);
+    return;
+  }
+  out->push_back(1);
+  out->push_back(negative_ ? 1 : 0);
+  AppendVarint(limbs_.size(), out);
+  out->append(reinterpret_cast<const char*>(limbs_.data()),
+              limbs_.size() * sizeof(uint32_t));
 }
 
 }  // namespace lyric

@@ -89,8 +89,13 @@ class BigInt {
   /// True when the value is held inline (diagnostic for tests/benches).
   bool IsSmallRep() const { return is_small_; }
 
-  /// Hash suitable for unordered containers.
+  /// Hash suitable for unordered containers. Never allocates.
   size_t Hash() const;
+
+  /// Appends a prefix-free byte image that is equal exactly for equal
+  /// values: 0 and the zigzag varint of a value that fits int64, else 1,
+  /// the sign, the limb count and the limbs in native byte order.
+  void AppendBytes(std::string* out) const;
 
  private:
   // Magnitude comparison: -1, 0, +1.
@@ -114,6 +119,11 @@ class BigInt {
   static BigInt FromLimbs(bool negative, std::vector<uint32_t> limbs);
   // The limb representation of this value (copies for small values).
   std::vector<uint32_t> ToLimbs() const;
+  // |small_| for the small representation (exact for INT64_MIN too).
+  uint64_t SmallMagnitude() const {
+    return small_ < 0 ? ~static_cast<uint64_t>(small_) + 1
+                      : static_cast<uint64_t>(small_);
+  }
 
   bool is_small_ = true;
   int64_t small_ = 0;

@@ -116,12 +116,4 @@ std::string Conjunction::ToString() const {
   return out;
 }
 
-size_t Conjunction::Hash() const {
-  size_t h = 0x12345;
-  for (const LinearConstraint& atom : atoms_) {
-    h ^= atom.Hash() + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  }
-  return h;
-}
-
 }  // namespace lyric

@@ -71,8 +71,6 @@ class Conjunction {
   /// "x + y <= 3 and x >= 0"; "true" for the empty conjunction.
   std::string ToString() const;
 
-  size_t Hash() const;
-
  private:
   std::vector<LinearConstraint> atoms_;
 };

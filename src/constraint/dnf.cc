@@ -249,12 +249,4 @@ std::string Dnf::ToString() const {
   return out;
 }
 
-size_t Dnf::Hash() const {
-  size_t h = 0x777;
-  for (const Conjunction& c : disjuncts_) {
-    h ^= c.Hash() + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  }
-  return h;
-}
-
 }  // namespace lyric

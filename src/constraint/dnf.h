@@ -80,8 +80,6 @@ class Dnf {
   /// "(...) or (...)"; "false" for the empty DNF.
   std::string ToString() const;
 
-  size_t Hash() const;
-
  private:
   std::vector<Conjunction> disjuncts_;
 };

@@ -149,8 +149,4 @@ std::string LinearConstraint::ToString() const {
          (-c).ToString();
 }
 
-size_t LinearConstraint::Hash() const {
-  return lhs_.Hash() * 4 + static_cast<size_t>(op_);
-}
-
 }  // namespace lyric

@@ -102,8 +102,6 @@ class LinearConstraint {
   /// Renders e.g. "2*x + 3*y <= 5" (constant moved to the right).
   std::string ToString() const;
 
-  size_t Hash() const;
-
  private:
   void Normalize();
 

@@ -147,14 +147,4 @@ std::string LinearExpr::ToString() const {
   return out;
 }
 
-size_t LinearExpr::Hash() const {
-  size_t h = constant_.Hash();
-  for (const auto& [var, coeff] : terms_) {
-    h ^= (static_cast<size_t>(var) + 0x9e3779b97f4a7c15ull) + (h << 6) +
-         (h >> 2);
-    h ^= coeff.Hash() + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  }
-  return h;
-}
-
 }  // namespace lyric

@@ -82,8 +82,6 @@ class LinearExpr {
   /// Renders e.g. "2*x + 3*y - 5". The zero expression renders as "0".
   std::string ToString() const;
 
-  size_t Hash() const;
-
  private:
   Rational constant_;
   std::map<VarId, Rational> terms_;

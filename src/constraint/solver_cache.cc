@@ -20,8 +20,23 @@ bool CacheFault() {
   return fault::Enabled() && fault::Inject(fault::kSiteSolverCache);
 }
 
-size_t HashCombine(size_t seed, size_t value) {
-  return seed ^ (value + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2));
+void AppendRational(const Rational& r, std::string* out) {
+  r.num().AppendBytes(out);
+  r.den().AppendBytes(out);
+}
+
+void AppendConjunction(const Conjunction& c, std::string* out) {
+  AppendVarint(c.size(), out);
+  for (const LinearConstraint& atom : c.atoms()) {
+    out->push_back(static_cast<char>(atom.op()));
+    const LinearExpr& lhs = atom.lhs();
+    AppendVarint(lhs.terms().size(), out);
+    for (const auto& [var, coeff] : lhs.terms()) {
+      AppendVarint(var, out);
+      AppendRational(coeff, out);
+    }
+    AppendRational(lhs.constant(), out);
+  }
 }
 
 }  // namespace
@@ -52,29 +67,33 @@ SolverCache& SolverCache::Global() {
 
 SolverCache::SolverCache(size_t capacity) : capacity_(capacity) {}
 
-bool SolverCache::Entry::Answers(const Question& q) const {
-  if (kind != q.kind) return false;
-  if (kind == Kind::kCanonical && level != q.level) return false;
-  if (!(lhs == q.lhs)) return false;
-  if (kind == Kind::kEntails && !(rhs == *q.rhs)) return false;
-  return true;
+void SolverCache::EncodeKey(const Question& q, std::string* out) {
+  out->push_back(static_cast<char>(q.kind));
+  if (q.kind == Kind::kCanonical) out->push_back(static_cast<char>(q.level));
+  AppendConjunction(q.lhs, out);
+  if (q.kind == Kind::kEntails) {
+    AppendVarint(q.rhs->size(), out);
+    for (const Conjunction& d : q.rhs->disjuncts()) AppendConjunction(d, out);
+  }
 }
 
-size_t SolverCache::BucketHash(const Question& q) const {
-  size_t h = static_cast<size_t>(q.kind) * 0x2545f4914f6cdd1dull;
-  if (q.kind == Kind::kCanonical) {
-    h = HashCombine(h, static_cast<size_t>(q.level));
-  }
-  h = HashCombine(h, q.lhs.Hash());
-  if (q.kind == Kind::kEntails) h = HashCombine(h, q.rhs->Hash());
+std::string& SolverCache::ScratchKey() {
+  thread_local std::string scratch;
+  scratch.clear();
+  return scratch;
+}
+
+size_t SolverCache::HashKey(std::string_view key) const {
+  size_t h = std::hash<std::string_view>{}(key);
   if (hash_override_) h = hash_override_(h);
   return h;
 }
 
 SolverCache::Shard& SolverCache::ShardFor(size_t hash) {
-  // The low bits pick the bucket inside the shard map; mix the high bits
-  // into the shard choice so both spread.
-  return shards_[(hash >> 48) % kShards];
+  // Fibonacci hashing: every hash bit feeds the top bits of the product,
+  // which pick the shard; the shard's map buckets by the low bits.
+  static_assert(kShards == 16, "the shard is the mixed hash's top 4 bits");
+  return shards_[(static_cast<uint64_t>(hash) * 0x9e3779b97f4a7c15ull) >> 60];
 }
 
 size_t SolverCache::PerShardCapacity() const {
@@ -107,18 +126,14 @@ void SolverCache::Clear() {
 }
 
 size_t SolverCache::ApproxEntryBytes(const Entry& entry) {
-  // Per-atom footprint is dominated by the LinearExpr term vector and two
-  // arbitrary-precision rationals; 64 bytes is a workable flat estimate.
-  constexpr size_t kPerAtom = 64;
-  size_t atoms = entry.lhs.size();
-  for (const Conjunction& d : entry.rhs.disjuncts()) atoms += d.size();
+  constexpr size_t kPerAnswerAtom = 64;
   size_t extra = 0;
   if (const auto* canonical = std::get_if<Conjunction>(&entry.payload)) {
-    atoms += canonical->size();
+    extra = canonical->size() * kPerAnswerAtom;
   } else if (const auto* tomb = std::get_if<Tombstone>(&entry.payload)) {
     extra = tomb->site.size();
   }
-  return sizeof(Entry) + atoms * kPerAtom + extra;
+  return sizeof(Entry) + entry.key.size() + extra;
 }
 
 void SolverCache::Account(const Entry& entry, int sign) {
@@ -172,41 +187,33 @@ void SolverCache::EvictLocked(Shard& shard, size_t per) {
   while (shard.lru.size() > per) {
     auto last = std::prev(shard.lru.end());
     Account(*last, -1);
-    auto bucket = shard.index.find(last->hash);
-    std::vector<std::list<Entry>::iterator>& chain = bucket->second;
-    chain.erase(std::find(chain.begin(), chain.end(), last));
-    if (chain.empty()) shard.index.erase(bucket);
+    shard.index.erase(KeyRef{last->key, last->hash});
     shard.lru.erase(last);
     evictions_.fetch_add(1, std::memory_order_relaxed);
     LYRIC_OBS_COUNT("solver_cache.evictions");
   }
 }
 
-SolverCache::Entry* SolverCache::FindLocked(Shard& shard, const Question& q,
+SolverCache::Entry* SolverCache::FindLocked(Shard& shard,
+                                            std::string_view key,
                                             size_t hash) {
-  auto bucket = shard.index.find(hash);
-  if (bucket == shard.index.end()) return nullptr;
-  for (auto it : bucket->second) {
-    // Structural equality guards against hash collisions: an equal hash
-    // with a different formula must never serve a cached verdict.
-    if (it->Answers(q)) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it);
-      return &*it;
-    }
-  }
-  return nullptr;
+  auto found = shard.index.find(KeyRef{key, hash});
+  if (found == shard.index.end()) return nullptr;
+  shard.lru.splice(shard.lru.begin(), shard.lru, found->second);
+  return &*found->second;
 }
 
 template <class T>
-std::optional<Result<T>> SolverCache::Probe(const Question& q, size_t hash) {
+std::optional<Result<T>> SolverCache::Probe(Kind kind, std::string_view key,
+                                            size_t hash) {
   if (CacheFault()) return std::nullopt;
   Shard& shard = ShardFor(hash);
   sync::MutexLock lock(shard.mu);
-  if (Entry* e = FindLocked(shard, q, hash)) {
+  if (Entry* e = FindLocked(shard, key, hash)) {
     if (const T* answer = std::get_if<T>(&e->payload)) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       LYRIC_OBS_COUNT("solver_cache.hits");
-      switch (q.kind) {
+      switch (kind) {
         case Kind::kSat:
           LYRIC_OBS_COUNT("solver_cache.sat_hits");
           break;
@@ -239,12 +246,12 @@ std::optional<Result<T>> SolverCache::Probe(const Question& q, size_t hash) {
   return std::nullopt;
 }
 
-template std::optional<Result<bool>> SolverCache::Probe<bool>(const Question&,
-                                                              size_t);
+template std::optional<Result<bool>> SolverCache::Probe<bool>(
+    Kind, std::string_view, size_t);
 template std::optional<Result<Conjunction>> SolverCache::Probe<Conjunction>(
-    const Question&, size_t);
+    Kind, std::string_view, size_t);
 
-void SolverCache::StoreTombstone(const Question& q, size_t hash) {
+void SolverCache::StoreTombstone(std::string key, size_t hash) {
   exec::CancellationToken* token = exec::GovernorScope::Current();
   if (token == nullptr) return;
   const exec::LimitKind kind = token->tripped_kind();
@@ -256,26 +263,26 @@ void SolverCache::StoreTombstone(const Question& q, size_t hash) {
   }
   std::optional<uint64_t> limit = token->LimitFor(kind);
   if (!limit.has_value()) return;
-  if (Store(q, hash, Tombstone{kind, *limit, token->Report().site})) {
+  if (Store(std::move(key), hash,
+            Tombstone{kind, *limit, token->Report().site})) {
     LYRIC_OBS_COUNT("cache.tombstone.stored");
   }
 }
 
-bool SolverCache::Store(const Question& q, size_t hash, Payload payload) {
+bool SolverCache::Store(std::string key, size_t hash, Payload payload) {
   if (CacheFault()) return false;
   Shard& shard = ShardFor(hash);
   {
     sync::MutexLock lock(shard.mu);
-    if (Entry* existing = FindLocked(shard, q, hash)) {
+    if (Entry* existing = FindLocked(shard, key, hash)) {
       Account(*existing, -1);
       existing->payload = std::move(payload);
       Account(*existing, +1);
     } else {
-      shard.lru.push_front(Entry{q.kind, q.level, q.lhs,
-                                 q.rhs != nullptr ? *q.rhs : Dnf(), hash,
-                                 std::move(payload)});
-      shard.index[hash].push_back(shard.lru.begin());
-      Account(shard.lru.front(), +1);
+      shard.lru.push_front(Entry{std::move(key), hash, std::move(payload)});
+      const Entry& entry = shard.lru.front();
+      shard.index.emplace(KeyRef{entry.key, hash}, shard.lru.begin());
+      Account(entry, +1);
       EvictLocked(shard, PerShardCapacity());
     }
   }

@@ -12,19 +12,17 @@
 //   * canonical forms         Question::Simplify(c, level)  -> Conjunction
 //   * entailment              Question::Entails(lhs, rhs)   -> bool
 //
-// through one entry point, Memoize(question, compute). It hashes the
-// question once, probes its shard once, runs `compute` only on a miss, and
-// records what `compute` returned: a verdict on success, a governor-budget
-// tombstone (below) on a ResourceExhausted trip. A Question refers to the
-// caller's constraint objects; they are copied only when an entry is
-// stored.
-//
-// Keys are the structural hash of the constraint objects; a hash hit
-// always falls back to full structural equality before a cached value is
-// returned, so hash collisions can never change an answer. Entries are
-// interned VarId-based, which is exact: two structurally equal
-// conjunctions denote the same point set, so every cached verdict is
-// deterministic and thread-agnostic.
+// through one entry point, Memoize(question, compute). It encodes the
+// question once into an exact byte key (EncodeKey; a 4 + 4 atom
+// entailment question is 92 bytes), probes its shard once, runs `compute`
+// only on a miss, and records what `compute` returned: a verdict on
+// success, a governor-budget tombstone (below) on a ResourceExhausted
+// trip. A hit allocates nothing; the key bytes are copied only on a miss.
+// Equal keys mean structurally equal questions, so a lookup compares
+// bytes and hash collisions can never change an answer. VarIds are kept
+// verbatim, which is exact: two structurally equal conjunctions denote
+// the same point set, so every cached verdict is deterministic and
+// thread-agnostic.
 //
 // Governor-aware tombstones: a governed computation that trips a resource
 // budget (memory / pivots / disjuncts) records a "too expensive" tombstone
@@ -37,7 +35,8 @@
 // trips are never tombstoned — wall-clock cost depends on machine load,
 // not the key. Tombstones live in the LRU and evict like normal entries.
 //
-// The cache is sharded (hash-picked shard, one mutex each) so concurrent
+// The cache is sharded (one mutex each; the shard is picked from the
+// multiplicatively mixed key hash, so keys spread evenly) so concurrent
 // evaluator workers rarely contend, and size-bounded with per-shard LRU
 // eviction. Traffic feeds the obs metrics registry ("solver_cache.hits",
 // ".misses", ".evictions", per-kind "*_hits", "cache.tombstone.hit" and
@@ -53,6 +52,7 @@
 #include <list>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -106,6 +106,13 @@ class SolverCache {
     const Dnf* rhs;  // kEntails only.
   };
 
+  /// Appends `q`'s key to `out`: kind, level (kCanonical only), then per
+  /// conjunction its atom count and per atom the relop, term count,
+  /// (VarId, coefficient) pairs and constant; counts are varints. The
+  /// layout is prefix-free, so keys are equal exactly when the questions
+  /// are structurally equal.
+  static void EncodeKey(const Question& q, std::string* out);
+
   /// The process-wide cache consulted by Simplex/Canonical/Entailment.
   /// Initial capacity comes from the LYRIC_CACHE_CAPACITY environment
   /// variable (entries; 0 disables), defaulting to 4096.
@@ -129,15 +136,19 @@ class SolverCache {
   Result<T> Memoize(const Question& q, Fn&& compute) {
     static_assert(std::is_same_v<T, bool> || std::is_same_v<T, Conjunction>);
     if (!enabled()) return compute();
-    const size_t hash = BucketHash(q);
-    if (std::optional<Result<T>> served = Probe<T>(q, hash)) {
+    std::string& scratch = ScratchKey();
+    EncodeKey(q, &scratch);
+    const size_t hash = HashKey(scratch);
+    if (std::optional<Result<T>> served = Probe<T>(q.kind, scratch, hash)) {
       return *std::move(served);
     }
+    // `compute` may re-enter Memoize and reuse the scratch buffer.
+    std::string key = scratch;
     Result<T> out = compute();
     if (out.ok()) {
-      Store(q, hash, Payload(*out));
+      Store(std::move(key), hash, Payload(*out));
     } else if (out.status().IsResourceExhausted()) {
-      StoreTombstone(q, hash);
+      StoreTombstone(std::move(key), hash);
     }
     return out;
   }
@@ -158,9 +169,9 @@ class SolverCache {
   /// each query to attribute hit/miss/tombstone deltas to its log record.
   Stats stats() const;
 
-  /// Test seam: maps every structural hash through `fn` before bucketing
-  /// (e.g. a constant function forces all keys to collide, exercising the
-  /// structural-equality fallback). Pass nullptr to restore. Not for
+  /// Test seam: maps every key hash through `fn` before bucketing (e.g. a
+  /// constant function forces all keys into one shard and bucket,
+  /// exercising the byte comparison). Pass nullptr to restore. Not for
   /// concurrent use with active lookups.
   void SetHashOverrideForTesting(std::function<size_t(size_t)> fn);
 
@@ -174,14 +185,19 @@ class SolverCache {
   using Payload = std::variant<bool, Conjunction, Tombstone>;
 
   struct Entry {
-    Kind kind;
-    CanonicalLevel level;
-    Conjunction lhs;
-    Dnf rhs;
-    size_t hash = 0;  // Possibly overridden; the bucket key.
+    std::string key;  // EncodeKey bytes.
+    size_t hash = 0;  // HashKey(key), possibly overridden.
     Payload payload;
+  };
 
-    bool Answers(const Question& q) const;
+  /// Key bytes (an entry's, or the probing thread's scratch) and hash.
+  struct KeyRef {
+    std::string_view bytes;
+    size_t hash;
+    bool operator==(const KeyRef& o) const { return bytes == o.bytes; }
+  };
+  struct KeyRefHash {
+    size_t operator()(const KeyRef& k) const { return k.hash; }
   };
 
   struct Shard {
@@ -191,37 +207,39 @@ class SolverCache {
     mutable sync::Mutex mu{sync::LockRank::kCacheShard, "cache_shard"};
     /// Front = most recently used.
     std::list<Entry> lru LYRIC_GUARDED_BY(mu);
-    /// Structural hash -> entries with that hash (collision chain).
-    std::unordered_map<size_t, std::vector<std::list<Entry>::iterator>> index
+    std::unordered_map<KeyRef, std::list<Entry>::iterator, KeyRefHash> index
         LYRIC_GUARDED_BY(mu);
   };
 
   static constexpr size_t kShards = 16;
 
-  size_t BucketHash(const Question& q) const;
+  /// The calling thread's key buffer, cleared.
+  static std::string& ScratchKey();
+  /// The hash of `key`'s bytes, mapped through the test override.
+  size_t HashKey(std::string_view key) const;
   Shard& ShardFor(size_t hash);
   size_t PerShardCapacity() const;
 
   /// One shard probe: the cached answer, the replayed trip of a tombstone
   /// that dooms the ambient budget, or nullopt on a miss.
   template <class T>
-  std::optional<Result<T>> Probe(const Question& q, size_t hash);
-  /// Records a tombstone for `q` if the ambient token tripped a budget.
-  void StoreTombstone(const Question& q, size_t hash);
-  /// Inserts (or overwrites) the entry for `q`, evicting LRU entries past
-  /// capacity; false when an injected cache fault drops the store. The
-  /// only place a question's constraints are copied.
-  bool Store(const Question& q, size_t hash, Payload payload);
+  std::optional<Result<T>> Probe(Kind kind, std::string_view key,
+                                 size_t hash);
+  /// Records a tombstone for `key` if the ambient token tripped a budget.
+  void StoreTombstone(std::string key, size_t hash);
+  /// Inserts (or overwrites) the entry for `key`, evicting LRU entries
+  /// past capacity; false when an injected cache fault drops the store.
+  bool Store(std::string key, size_t hash, Payload payload);
 
-  /// Returns the entry answering `q` in its shard (moving it to the LRU
+  /// Returns the entry for `key` in its shard (moving it to the LRU
   /// front) or nullptr.
-  Entry* FindLocked(Shard& shard, const Question& q, size_t hash)
+  Entry* FindLocked(Shard& shard, std::string_view key, size_t hash)
       LYRIC_REQUIRES(shard.mu);
   /// Evicts LRU entries until the shard holds at most `per`.
   void EvictLocked(Shard& shard, size_t per) LYRIC_REQUIRES(shard.mu);
 
-  /// Rough heap footprint of one entry, for the occupancy gauge (exact
-  /// accounting would walk every rational; the atom count dominates).
+  /// Footprint of one entry for the occupancy gauge: the entry, its key
+  /// bytes and a flat per-atom estimate for a canonical answer.
   static size_t ApproxEntryBytes(const Entry& entry);
   /// Enters `entry` into (+1) or retires it from (-1) the occupancy
   /// accounting.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <thread>
 
 #include "obs/metrics.h"
@@ -361,31 +362,31 @@ bool QueryScheduler::WaitForWaiters(uint64_t count, uint64_t timeout_ms) const {
 
 // -- Retry policy ----------------------------------------------------------
 
+RetryPolicy RetryPolicy::Parse(std::string_view text) {
+  if (text.empty()) return RetryPolicy();
+  uint64_t fields[3] = {0, 0, 0};
+  size_t count = 0;
+  for (;;) {
+    const size_t colon = text.find(':');
+    std::optional<uint64_t> field =
+        ParseUint64(std::string(text.substr(0, colon)).c_str());
+    if (!field.has_value() || count == 3) return RetryPolicy();
+    fields[count++] = *field;
+    if (colon == std::string_view::npos) break;
+    text.remove_prefix(colon + 1);
+  }
+  if (fields[0] > std::numeric_limits<uint32_t>::max()) return RetryPolicy();
+  RetryPolicy policy;
+  policy.max_retries = static_cast<uint32_t>(fields[0]);
+  if (count > 1 && fields[1] > 0) policy.base_backoff_ms = fields[1];
+  if (count > 2) policy.seed = fields[2];
+  return policy;
+}
+
 const RetryPolicy& RetryPolicy::FromEnv() {
   static const RetryPolicy* policy = [] {
-    auto* env = new RetryPolicy();
     const char* text = std::getenv("LYRIC_RETRY");
-    if (text != nullptr && *text != '\0') {
-      // retries[:base_ms[:seed]]
-      char* end = nullptr;
-      unsigned long long retries = std::strtoull(text, &end, 10);
-      if (end != text) {
-        env->max_retries = static_cast<uint32_t>(retries);
-        if (*end == ':') {
-          const char* base_text = end + 1;
-          unsigned long long base = std::strtoull(base_text, &end, 10);
-          if (end != base_text && base > 0) {
-            env->base_backoff_ms = static_cast<uint64_t>(base);
-          }
-          if (*end == ':') {
-            const char* seed_text = end + 1;
-            unsigned long long seed = std::strtoull(seed_text, &end, 10);
-            if (end != seed_text) env->seed = static_cast<uint64_t>(seed);
-          }
-        }
-      }
-    }
-    return env;
+    return new RetryPolicy(Parse(text != nullptr ? text : ""));
   }();
   return *policy;
 }

@@ -39,6 +39,7 @@
 #include <list>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "util/result.h"
 #include "util/status.h"
@@ -249,8 +250,13 @@ struct RetryPolicy {
   uint64_t max_backoff_ms = 1000;
   uint64_t seed = 0;
 
-  /// The process default from LYRIC_RETRY=retries[:base_ms[:seed]], read
-  /// once. Unset leaves max_retries at 0 (retry disabled).
+  /// Parses "retries[:base_ms[:seed]]", each field a decimal integer
+  /// (ParseUint64) and retries at most 2^32 - 1. Empty or malformed text
+  /// (a sign, a stray character, an empty field, a fourth field) yields
+  /// the defaults; a zero base_ms keeps the default base.
+  static RetryPolicy Parse(std::string_view text);
+  /// The process default, Parse(LYRIC_RETRY), read once. Unset leaves
+  /// max_retries at 0 (retry disabled).
   static const RetryPolicy& FromEnv();
 
   /// Whether `failed` should be retried after `attempt` completed retries.

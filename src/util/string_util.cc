@@ -44,4 +44,12 @@ std::optional<uint64_t> EnvUint64(const char* name) {
   return ParseUint64(std::getenv(name));
 }
 
+void AppendVarint(uint64_t value, std::string* out) {
+  while (value >= 0x80) {
+    out->push_back(static_cast<char>((value & 0x7f) | 0x80));
+    value >>= 7;
+  }
+  out->push_back(static_cast<char>(value));
+}
+
 }  // namespace lyric

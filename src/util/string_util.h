@@ -29,6 +29,11 @@ std::optional<uint64_t> ParseUint64(const char* text);
 /// or malformed, so callers fall back to their default.
 std::optional<uint64_t> EnvUint64(const char* name);
 
+/// Appends `value` as a LEB128 varint: 7 bits per byte, low groups first,
+/// high bit set on every byte but the last, so the encoding is
+/// prefix-free.
+void AppendVarint(uint64_t value, std::string* out);
+
 }  // namespace lyric
 
 #endif  // LYRIC_UTIL_STRING_UTIL_H_

@@ -254,6 +254,35 @@ TEST(SchedulerTest, RetryPolicyOnlyRetriesUnavailable) {
   EXPECT_FALSE(off.ShouldRetry(shed, 0));
 }
 
+// LYRIC_RETRY=retries[:base_ms[:seed]]: every field is a plain decimal;
+// anything malformed keeps the whole default policy.
+TEST(SchedulerTest, RetryPolicyParseAcceptsOnlyWellFormedFields) {
+  const RetryPolicy defaults;
+  auto is_default = [&](const RetryPolicy& p) {
+    return p.max_retries == defaults.max_retries &&
+           p.base_backoff_ms == defaults.base_backoff_ms &&
+           p.seed == defaults.seed;
+  };
+  for (const char* bad : {"", "-1", "3abc", "3::7", "3:", ":3", "3:10:7:1",
+                          " 3", "4294967296", "3:x", "3:10:-7"}) {
+    EXPECT_TRUE(is_default(RetryPolicy::Parse(bad))) << "'" << bad << "'";
+  }
+
+  RetryPolicy retries_only = RetryPolicy::Parse("3:0");
+  EXPECT_EQ(retries_only.max_retries, 3u);
+  EXPECT_EQ(retries_only.base_backoff_ms, defaults.base_backoff_ms);
+  EXPECT_EQ(retries_only.seed, defaults.seed);
+
+  RetryPolicy full = RetryPolicy::Parse("3:10:7");
+  EXPECT_EQ(full.max_retries, 3u);
+  EXPECT_EQ(full.base_backoff_ms, 10u);
+  EXPECT_EQ(full.seed, 7u);
+
+  RetryPolicy widest = RetryPolicy::Parse("4294967295:25");
+  EXPECT_EQ(widest.max_retries, 4294967295u);
+  EXPECT_EQ(widest.base_backoff_ms, 25u);
+}
+
 TEST(SchedulerTest, BackoffIsDeterministicCappedAndJittered) {
   RetryPolicy policy;
   policy.max_retries = 8;

@@ -4,15 +4,18 @@
 //
 //   1. cached-vs-fresh verdicts agree (sat, canonical, entailment),
 //   2. eviction at tiny capacities never changes any answer,
-//   3. forced hash collisions fall back to structural equality.
+//   3. forced hash collisions fall back to comparing the key bytes.
 //
 // The rest pin SolverCache::Memoize itself: key spaces, capacity,
-// stats, and one hash per question.
+// stats, one hash per question, shard spread, and byte keys that are
+// equal exactly when the questions are structurally equal.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "constraint/canonical.h"
@@ -213,8 +216,8 @@ TEST(SolverCacheProperty, EvictionAtTinyCapacityNeverChangesAnswers) {
   });
 }
 
-// Property 3: when every key lands in one hash bucket, structural
-// equality must still route each lookup to its own entry.
+// Property 3: when every key lands in one hash bucket, comparing the key
+// bytes must still route each lookup to its own entry.
 TEST(SolverCacheProperty, HashCollisionsFallBackToStructuralEquality) {
   SolverCache cache(1024);
   cache.SetHashOverrideForTesting([](size_t) { return size_t{17}; });
@@ -359,6 +362,272 @@ TEST(SolverCacheProperty, MemoizeHashesEachQuestionOnce) {
   EXPECT_EQ(hashes, 4u);
 
   cache.SetHashOverrideForTesting(nullptr);
+}
+
+// Keys spread evenly over the shards: a working set of half the capacity
+// fits without a single eviction. The questions have the shape of the
+// scaled office scan's entailment filter, L(x, y) |= box, over 128 desk
+// locations and 16 boxes.
+TEST(SolverCacheProperty, HalfCapacityWorkingSetNeverEvicts) {
+  SolverCache cache(4096);
+  const VarId x = Variable::Intern("x");
+  const VarId y = Variable::Intern("y");
+  auto between = [](Conjunction* c, VarId v, int64_t lo, int64_t hi,
+                    bool strict) {
+    const LinearExpr var = LinearExpr::Var(v);
+    const LinearExpr low = LinearExpr::Constant(Rational(lo));
+    const LinearExpr high = LinearExpr::Constant(Rational(hi));
+    c->Add(strict ? LinearConstraint::Lt(low, var)
+                  : LinearConstraint::Le(low, var));
+    c->Add(strict ? LinearConstraint::Lt(var, high)
+                  : LinearConstraint::Le(var, high));
+  };
+  for (int64_t desk = 0; desk < 128; ++desk) {
+    Conjunction location;
+    between(&location, x, desk % 16, desk % 16 + 2, false);
+    between(&location, y, desk / 16, desk / 16 + 1, false);
+    for (int64_t box = 0; box < 16; ++box) {
+      Conjunction filter;
+      between(&filter, x, box % 4, 14 + box / 4, true);
+      between(&filter, y, box % 2, 7 + box / 8, true);
+      Put(cache, Question::Entails(location, Dnf(filter)), desk % 3 == 0);
+    }
+  }
+  SolverCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.size, 2048u);
+  EXPECT_EQ(stats.evictions, 0u);
+}
+
+// -- Key encoding ----------------------------------------------------------
+
+std::string KeyOf(const Question& q) {
+  std::string key;
+  SolverCache::EncodeKey(q, &key);
+  return key;
+}
+
+// A question that owns its constraints.
+struct OwnedQuestion {
+  SolverCache::Kind kind = SolverCache::Kind::kSat;
+  CanonicalLevel level = CanonicalLevel::kSyntactic;
+  Conjunction lhs;
+  Dnf rhs;
+
+  Question View() const { return {kind, level, lhs, &rhs}; }
+};
+
+// The structural comparison the cache used before byte keys: the kinds
+// match, the levels match for canonical questions, and the constraint
+// objects compare equal (the rhs for entailment questions only).
+bool StructurallyEqual(const Question& a, const Question& b) {
+  if (a.kind != b.kind) return false;
+  if (a.kind == SolverCache::Kind::kCanonical && a.level != b.level) {
+    return false;
+  }
+  if (!(a.lhs == b.lhs)) return false;
+  if (a.kind == SolverCache::Kind::kEntails && !(*a.rhs == *b.rhs)) {
+    return false;
+  }
+  return true;
+}
+
+// Coefficients that probe the BigInt encoding: zero, small values,
+// fractions, the int64 edges and values past them.
+Rational PickCoefficient(Lcg& rng) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  switch (rng.Range(0, 9)) {
+    case 0: return Rational(0);
+    case 1: return Rational(kMin);
+    case 2: return Rational(kMax);
+    case 3: return Rational(BigInt(kMax) + BigInt(rng.Range(1, 3)), 1);
+    case 4: return Rational(-(BigInt(kMax) + BigInt(rng.Range(1, 3))), 1);
+    case 5: return Rational(rng.Range(-3, 3), rng.Range(1, 4));
+    default: return Rational(rng.Range(-3, 3));
+  }
+}
+
+// The same value reached by other arithmetic: 4r * 1/2 - r, zero as -0,
+// and a num/den pair scaled before normalization.
+Rational Rebuilt(const Rational& r, Lcg& rng) {
+  switch (rng.Range(0, 2)) {
+    case 0: return r * Rational(4) * Rational(1, 2) - r;
+    case 1: return r.IsZero() ? -Rational(0) : -(-r);
+    default: return Rational(r.num() * BigInt(6), r.den() * BigInt(6));
+  }
+}
+
+VarId PickVar(Lcg& rng) {
+  static const VarId kVars[] = {Variable::Intern("kx"),
+                                Variable::Intern("ky"),
+                                Variable::Intern("kz")};
+  return kVars[rng.Range(0, 2)];
+}
+
+LinearConstraint RandomAtom(Lcg& rng) {
+  LinearExpr lhs(PickCoefficient(rng));
+  const int64_t terms = rng.Range(0, 3);
+  for (int64_t i = 0; i < terms; ++i) {
+    lhs.AddTerm(PickVar(rng), PickCoefficient(rng));
+  }
+  return LinearConstraint(lhs, static_cast<RelOp>(rng.Range(0, 3)));
+}
+
+// Atoms go in verbatim (no Add/SortAndDedupe), so order and duplicates
+// are part of the structure.
+Conjunction RandomAtoms(Lcg& rng) {
+  std::vector<LinearConstraint> atoms;
+  const int64_t n = rng.Range(0, 3);
+  for (int64_t i = 0; i < n; ++i) atoms.push_back(RandomAtom(rng));
+  return Conjunction(std::move(atoms));
+}
+
+// An equal conjunction built by other arithmetic, atom by atom.
+Conjunction RebuiltConjunction(const Conjunction& c, Lcg& rng) {
+  std::vector<LinearConstraint> atoms;
+  for (const LinearConstraint& atom : c.atoms()) {
+    LinearExpr lhs(Rebuilt(atom.lhs().constant(), rng));
+    for (const auto& [var, coeff] : atom.lhs().terms()) {
+      lhs.AddTerm(var, Rebuilt(coeff, rng));
+    }
+    atoms.push_back(LinearConstraint(lhs, atom.op()));
+  }
+  return Conjunction(std::move(atoms));
+}
+
+OwnedQuestion RandomQuestion(Lcg& rng) {
+  OwnedQuestion q;
+  q.kind = static_cast<SolverCache::Kind>(rng.Range(0, 2));
+  // Non-canonical questions carry an arbitrary level too: the key, like
+  // the structural comparison, must ignore it.
+  q.level = static_cast<CanonicalLevel>(rng.Range(0, 2));
+  q.lhs = RandomAtoms(rng);
+  if (q.kind == SolverCache::Kind::kEntails) {
+    std::vector<Conjunction> disjuncts;
+    const int64_t n = rng.Range(0, 2);
+    for (int64_t i = 0; i < n; ++i) disjuncts.push_back(RandomAtoms(rng));
+    q.rhs = Dnf(std::move(disjuncts));
+  }
+  return q;
+}
+
+// One random change: the kind or level tag alone, one atom's relop, sign
+// or a term, an atom dropped, duplicated or reordered, or a disjunct.
+// Negating an = or != atom normalizes back to the same atom.
+OwnedQuestion Mutated(const OwnedQuestion& q, Lcg& rng) {
+  OwnedQuestion out = q;
+  std::vector<LinearConstraint> atoms = q.lhs.atoms();
+  switch (rng.Range(0, 7)) {
+    case 0:
+      out.kind = static_cast<SolverCache::Kind>(rng.Range(0, 2));
+      break;
+    case 1:
+      out.level = static_cast<CanonicalLevel>(rng.Range(0, 2));
+      break;
+    case 2:
+      if (!atoms.empty()) {
+        size_t i = static_cast<size_t>(rng.Range(0, atoms.size() - 1));
+        atoms[i] = LinearConstraint(atoms[i].lhs(),
+                                    static_cast<RelOp>(rng.Range(0, 3)));
+      }
+      break;
+    case 3:
+      if (!atoms.empty()) {
+        size_t i = static_cast<size_t>(rng.Range(0, atoms.size() - 1));
+        LinearExpr lhs = atoms[i].lhs();
+        lhs.AddTerm(PickVar(rng), PickCoefficient(rng));
+        atoms[i] = LinearConstraint(lhs, atoms[i].op());
+      }
+      break;
+    case 4:
+      if (!atoms.empty()) atoms.pop_back();
+      break;
+    case 5:
+      if (!atoms.empty()) {
+        atoms.push_back(atoms.front());
+        if (rng.Range(0, 1) == 0) atoms.erase(atoms.begin());
+      }
+      break;
+    case 6:
+      if (!atoms.empty()) {
+        size_t i = static_cast<size_t>(rng.Range(0, atoms.size() - 1));
+        atoms[i] = LinearConstraint(-atoms[i].lhs(), atoms[i].op());
+      }
+      break;
+    default: {
+      std::vector<Conjunction> disjuncts = q.rhs.disjuncts();
+      if (!disjuncts.empty() && rng.Range(0, 1) == 0) {
+        disjuncts.pop_back();
+      } else {
+        disjuncts.push_back(RandomAtoms(rng));
+      }
+      out.rhs = Dnf(std::move(disjuncts));
+      break;
+    }
+  }
+  out.lhs = Conjunction(std::move(atoms));
+  return out;
+}
+
+// Key equality is exactly structural equality: over random pairs of
+// equal-by-other-arithmetic twins, one-field mutations and independent
+// draws, equal keys <=> structurally equal questions.
+TEST(SolverCacheKey, KeyEqualityMatchesStructuralEquality) {
+  Lcg rng(2024);
+  size_t equal = 0;
+  size_t unequal = 0;
+  for (int i = 0; i < 12000; ++i) {
+    OwnedQuestion a = RandomQuestion(rng);
+    OwnedQuestion b;
+    switch (rng.Range(0, 2)) {
+      case 0:
+        b = a;
+        b.lhs = RebuiltConjunction(a.lhs, rng);
+        {
+          std::vector<Conjunction> disjuncts;
+          for (const Conjunction& d : a.rhs.disjuncts()) {
+            disjuncts.push_back(RebuiltConjunction(d, rng));
+          }
+          b.rhs = Dnf(std::move(disjuncts));
+        }
+        break;
+      case 1:
+        b = Mutated(a, rng);
+        break;
+      default:
+        b = RandomQuestion(rng);
+        break;
+    }
+    const bool structural = StructurallyEqual(a.View(), b.View());
+    ASSERT_EQ(KeyOf(a.View()) == KeyOf(b.View()), structural)
+        << "pair " << i << ": " << a.lhs.ToString() << " | "
+        << a.rhs.ToString() << " vs " << b.lhs.ToString() << " | "
+        << b.rhs.ToString();
+    ++(structural ? equal : unequal);
+  }
+  // Both sides of the equivalence are exercised in bulk.
+  EXPECT_GT(equal, 3000u);
+  EXPECT_GT(unequal, 3000u);
+}
+
+// The byte image of a BigInt depends on its value only: a value that
+// left int64 and came back encodes like the plain int64.
+TEST(SolverCacheKey, BigIntBytesFollowTheValue) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  auto bytes = [](const BigInt& v) {
+    std::string out;
+    v.AppendBytes(&out);
+    return out;
+  };
+  EXPECT_EQ(bytes((BigInt(kMax) + BigInt(1)) - BigInt(1)), bytes(BigInt(kMax)));
+  EXPECT_EQ(bytes(-(-BigInt(kMin))), bytes(BigInt(kMin)));
+  EXPECT_EQ(bytes(-BigInt(0)), bytes(BigInt(0)));
+  EXPECT_NE(bytes(BigInt(kMax) + BigInt(1)), bytes(BigInt(kMin)));
+  EXPECT_NE(bytes(-BigInt(kMin)), bytes(BigInt(kMin)));
+  const BigInt past_max = BigInt(kMax) + BigInt(2);
+  EXPECT_NE(bytes(past_max), bytes(-past_max));
+  EXPECT_NE(bytes(BigInt(1)), bytes(BigInt(-1)));
 }
 
 }  // namespace
